@@ -8,8 +8,9 @@ and prints the metrics as one JSON object on the last line of stdout.
 
 `--trace 0` measures end to end: a closed loop with one client, where
 the next CLI invocation starts after the previous one exits, for S
-seconds. `--trace 1` measures layer by layer: the same invocation plain
-and under `--stats`, and a traced in-process replay (`covbench replay`)
+seconds. Its times are reported at reference host speed (see
+host_speedup). `--trace 1` measures layer by layer: the same invocation
+plain and under `--stats`, and a traced in-process replay (`covbench replay`)
 of the layer calls the CLI makes. `--steady` runs each workload RUNS
 times on seeds 1..RUNS and prints each end-to-end metric's median and
 quartiles.
@@ -37,6 +38,20 @@ TARGET = os.path.abspath(os.environ.get("CARGO_TARGET_DIR", ".bench_build"))
 WORK = os.path.join(REPO, ".bench_work")
 CLI = os.path.join(TARGET, "release", "covest-cli")
 COVBENCH = os.path.join(TARGET, "release", "covbench")
+CALIB = os.path.join(TARGET, "release", "calib")
+
+# The calibration's time at reference host speed: about what it takes
+# on one vCPU of an idle 2-vCPU Xeon (Sapphire Rapids) KVM guest. It
+# only sets the unit; every gated comparison is a ratio.
+CALIB_REF_S = 0.1
+# How covest's speed follows the calibration's: under the same host
+# contention covest slows by about the square root of the calibration's
+# slowdown. Fitted on a 2-vCPU KVM guest over nine series (~700
+# invocations of the three workloads, each followed by a calibration):
+# the spread (IQR over median) of the median wall time of 6-14
+# invocation windows averaged 0.16 uncorrected (worst 0.29), 0.14 with
+# exponent 1 (worst 0.28) and 0.07 with 0.5 (worst 0.10).
+HOST_EXPONENT = 0.5
 
 # Set-ups per measured run; setup_s is their median.
 SETUPS = 3
@@ -105,6 +120,26 @@ def covbench(*args):
     if proc.returncode != 0:
         die(f"covbench {' '.join(args)}: {proc.stderr.strip()}")
     return proc.stdout
+
+
+def calibrate():
+    """Runs the host-speed calibration (covbench/src/bin/calib.rs, a
+    fixed BDD build that shares no code with covest); returns its time."""
+    proc = subprocess.run([CALIB], capture_output=True, text=True,
+                          timeout=INVOCATION_TIMEOUT_S)
+    if proc.returncode != 0:
+        die(f"calib: {proc.stderr.strip()}")
+    return float(proc.stdout.split()[0])
+
+
+def host_speedup(calibrations):
+    """The factor that takes a time measured on this host, while these
+    calibrations ran, to reference speed. A shared host's speed swings
+    by up to 2x over minutes, and a slow spell slows every CPU-bound
+    process; the run times the calibration after every set-up and every
+    invocation, and scales its medians by this factor."""
+    slowdown = statistics.median(calibrations) / CALIB_REF_S
+    return slowdown ** -HOST_EXPONENT
 
 
 def setup(workload, seed, tag):
@@ -232,33 +267,39 @@ def quartiles(values):
 
 
 def end_to_end(workload, seed, seconds):
-    setups = []
+    setups, calibrations = [], []
     attempted = failed = 0
     for i in range(SETUPS):
         secs, deck_dir, expected, argv, (a, fl, _) = setup(workload, seed, f"setup{i}")
         setups.append(secs)
+        calibrations.append(calibrate())
         attempted, failed = attempted + a, failed + fl
     out_path = os.path.join(deck_dir, "run.out")
-    walls, cpus, rss = [], [], []
-    correct = 0
+    walls, cpus, rss, rates = [], [], [], []
     deadline = time.perf_counter() + seconds
     while len(walls) < MIN_INVOCATIONS or time.perf_counter() < deadline:
         wall, cpu, mb, code = invoke(argv, deck_dir, out_path)
+        calibrations.append(calibrate())
         with open(out_path) as f:
             a, fl, c = check_output(workload, f.read(), code, expected)
         walls.append(wall)
         cpus.append(cpu)
         rss.append(mb)
-        attempted, failed, correct = attempted + a, failed + fl, correct + c
+        rates.append(c / wall)
+        attempted, failed = attempted + a, failed + fl
+    speedup = host_speedup(calibrations)
     metrics = {  # keyed as BENCHMARK.json's end_to_end
-        "wall_s": statistics.median(walls),
-        "cpu_s": statistics.median(cpus),
+        "wall_s": statistics.median(walls) * speedup,
+        "cpu_s": statistics.median(cpus) * speedup,
         "peak_rss_mb": statistics.median(rss),
-        "signals_per_s": correct / sum(walls),
-        "setup_s": statistics.median(setups),
+        "signals_per_s": statistics.median(rates) / speedup,
+        "setup_s": statistics.median(setups) * speedup,
     }
     log(f"{workload}: {len(walls)} invocations, fail_ratio {failed / attempted} "
-        f"({failed} of {attempted} rows); wall_s " + " ".join(f"{w:.3f}" for w in walls))
+        f"({failed} of {attempted} rows); times below are at reference speed, "
+        f"measured ones times {speedup:.4f}")
+    log("  measured wall_s " + " ".join(f"{w:.3f}" for w in walls))
+    log("  calibration_s   " + " ".join(f"{c:.3f}" for c in calibrations))
     for name, unit in END_TO_END:
         log(f"  {name:<14} {metrics[name]:.6g} {unit}")
     return {
@@ -278,13 +319,17 @@ def timing_free(text):
 
 def traced(workload, seed, seconds):
     _, deck_dir, expected, argv, (attempted, failed, _) = setup(workload, seed, "trace")
-    plain_walls, stats_walls, diffs, replays = [], [], [], []
+    plain_walls, plain_cpus, stats_walls, diffs, replays = [], [], [], [], []
+    calibrations = []
     deadline = time.perf_counter() + seconds
     while len(replays) < 2 or time.perf_counter() < deadline:
         outputs = []
         for extra, walls in [([], plain_walls), (["--stats"], stats_walls)]:
             path = os.path.join(deck_dir, "trace.out")
-            wall, _, _, code = invoke(argv + extra, deck_dir, path)
+            wall, cpu, _, code = invoke(argv + extra, deck_dir, path)
+            if not extra:
+                plain_cpus.append(cpu)
+                calibrations.append(calibrate())
             with open(path) as f:
                 text = f.read()
             a, fl, _ = check_output(workload, text, code, expected)
@@ -318,6 +363,9 @@ def traced(workload, seed, seconds):
     metrics["trace.overhead_ratio"] = statistics.median(r["wall_s"] for r in replays) / plain_wall
     metrics["trace.unattributed_ratio"] = statistics.median(
         r["unattributed_ratio"] for r in replays)
+    metrics["cli.wall_s"] = plain_wall
+    metrics["cli.cpu_s"] = statistics.median(plain_cpus)
+    metrics["host.slowdown_ratio"] = statistics.median(calibrations) / CALIB_REF_S
     if set(metrics) != set(PER_LAYER):
         die(f"replay metrics {sorted(set(metrics) ^ set(PER_LAYER))} disagree with BENCHMARK.json")
     log(f"{workload}: {len(replays)} replays, {len(plain_walls)} plain and --stats invocations")

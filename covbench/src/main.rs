@@ -121,12 +121,12 @@ fn gen(workload: &str, seed: u64, dir: &Path) -> Result<(), String> {
 /// state).
 fn crosscheck() -> Result<(), String> {
     let small = vec![
-        decks::pipeline_deck(3, None),
+        decks::pipeline_deck(2, None),
         decks::counter_deck(5),
         decks::counter_deck(9),
         decks::buffer_deck(2, false),
         decks::buffer_deck(2, true),
-        decks::queue_deck(3),
+        decks::queue_deck(2),
         decks::arbiter_deck(2, None),
     ];
     for deck in &small {
