@@ -268,8 +268,16 @@ impl BddManager {
         var_lists: &[&[VarId]],
     ) -> Vec<QuantSchedule> {
         let refs = self.raw_operands(operands);
-        let inner = self.inner.borrow();
-        inner.quant_schedule_many(&refs, var_lists)
+        let mut inner = self.inner.borrow_mut();
+        inner
+            .quant_sets(&refs, var_lists)
+            .into_iter()
+            .map(|(pre, at)| QuantSchedule {
+                mgr: Some(self.clone()),
+                pre,
+                at,
+            })
+            .collect()
     }
 
     /// Schedule-driven relational product `∃ vars. (seed ∧ ⋀ operands)`,
@@ -278,7 +286,8 @@ impl BddManager {
     ///
     /// # Panics
     ///
-    /// Panics if `schedule.len() != operands.len()`.
+    /// Panics if `schedule.len() != operands.len()`, or if the schedule
+    /// was built on a different manager.
     pub fn and_exists_schedule(
         &self,
         seed: &Func,
@@ -286,10 +295,16 @@ impl BddManager {
         schedule: &QuantSchedule,
     ) -> Func {
         self.check_same_mgr(seed);
+        if let Some(mgr) = &schedule.mgr {
+            assert!(
+                self.same_manager(mgr),
+                "QuantSchedule belongs to a different BddManager"
+            );
+        }
         let refs = self.raw_operands(operands);
         let mut inner = self.inner.borrow_mut();
         let seed_r = seed.raw(&inner);
-        let r = inner.and_exists_schedule(seed_r, &refs, schedule);
+        let r = inner.and_exists_schedule(seed_r, &refs, &schedule.pre, &schedule.at);
         Func::wrap(&self.inner, &mut inner, r)
     }
 
@@ -300,6 +315,19 @@ impl BddManager {
         let schedule = self.quant_schedule(operands, vars);
         let seed = self.constant(true);
         self.and_exists_schedule(&seed, operands, &schedule)
+    }
+
+    /// Registers a simultaneous variable renaming `from → to` for
+    /// repeated use with [`Func::rename_with`]. The memo entries of one
+    /// renaming serve every later call with the same map, so a caller
+    /// that renames over and over (e.g. between the current- and
+    /// next-state ranks of a machine) builds its map once.
+    pub fn var_map(&self, pairs: &[(VarId, VarId)]) -> VarMap {
+        VarMap {
+            mgr: self.clone(),
+            id: self.inner.borrow_mut().new_id(),
+            pairs: pairs.to_vec(),
+        }
     }
 
     // ---- reordering and collection ------------------------------------
@@ -408,6 +436,20 @@ impl BddManager {
         let pairs: Vec<(&str, Ref)> = roots.iter().map(|&(n, f)| (n, f.raw(&inner))).collect();
         inner.to_dot(&pairs)
     }
+}
+
+/// A variable renaming registered on a [`BddManager`] by
+/// [`BddManager::var_map`], applied with [`Func::rename_with`].
+///
+/// The map carries an id that is unique on its manager; the renaming
+/// memo keys on it, so results persist across calls until the next
+/// collection or reordering. Cloning shares the id.
+#[derive(Debug, Clone)]
+pub struct VarMap {
+    mgr: BddManager,
+    id: u32,
+    /// The renaming's `(from, to)` pairs.
+    pairs: Vec<(VarId, VarId)>,
 }
 
 /// An owned handle to a Boolean function on a [`BddManager`].
@@ -630,6 +672,21 @@ impl Func {
     /// (`a ↔ b` for every `(a, b)` in `pairs`).
     pub fn swap_vars(&self, pairs: &[(VarId, VarId)]) -> Func {
         self.unop(|i, a| i.swap(a, pairs))
+    }
+
+    /// Renames variables through a map built by
+    /// [`BddManager::var_map`]; same result as [`Func::rename`] with the
+    /// map's pairs, but memoized across calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `map` was built on a different manager.
+    pub fn rename_with(&self, map: &VarMap) -> Func {
+        assert!(
+            Rc::ptr_eq(&self.mgr, &map.mgr.inner),
+            "VarMap belongs to a different BddManager"
+        );
+        self.unop(|i, a| i.rename_with(a, &map.pairs, map.id))
     }
 
     // ---- inspection ---------------------------------------------------

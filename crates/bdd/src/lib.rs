@@ -30,8 +30,9 @@
 //!   to shrink iterates and transition clusters modulo a care set (e.g.
 //!   the reachable states) with zero effect on results inside it;
 //! - substitution and renaming ([`Func::compose`],
-//!   [`Func::vector_compose`], [`Func::rename`], [`Func::swap_vars`])
-//!   for next-state/current-state moves and the paper's *dual FSM*
+//!   [`Func::vector_compose`], [`Func::rename`], [`Func::swap_vars`],
+//!   and [`Func::rename_with`] through a [`VarMap`] built once) for
+//!   next-state/current-state moves and the paper's *dual FSM*
 //!   construction;
 //! - model counting ([`Func::sat_count_over`], [`Func::sat_count_exact`])
 //!   for coverage percentages, plus cube/minterm enumeration for
@@ -80,7 +81,7 @@ mod stats;
 mod subst;
 mod table;
 
-pub use handle::{BddManager, Cubes, Func, Minterms};
+pub use handle::{BddManager, Cubes, Func, Minterms, VarMap};
 pub use node::VarId;
 pub use quant::QuantSchedule;
 pub use reorder::{ReorderConfig, ReorderMode, ReorderStats};

@@ -69,11 +69,16 @@ pub(crate) struct Inner {
     /// free list, regardless of how many roots are live.
     pub(crate) ext: Vec<ExtSlot>,
     pub(crate) ext_free: Vec<u32>,
-    // Generation-tagged caches shared by the unary traversals
-    // (quantification, cofactor, compose) and the fused relational
-    // product; a tag bump replaces the old per-call memo clear.
+    /// Memo of the unary traversals (quantification, renaming,
+    /// substitution); see `table::UnaryCache`.
     pub(crate) quant_cache: UnaryCache,
+    /// Memo of the fused relational product, keyed `(f, g, key)`.
     pub(crate) pair_cache: PairCache,
+    /// Next id for a registered quantification set or
+    /// [`crate::VarMap`]; see [`Inner::new_id`].
+    pub(crate) next_id: u32,
+    /// Var-indexed mask scratch of ad-hoc quantifications, reused
+    /// across calls.
     pub(crate) mask_scratch: Vec<bool>,
     /// Var-indexed substitution scratch for `compose`/`vector_compose`
     /// (`NIL_REF` = identity), reused across calls.
@@ -123,6 +128,7 @@ impl Inner {
             ext_free: Vec::new(),
             quant_cache: UnaryCache::new(),
             pair_cache: PairCache::new(),
+            next_id: 0,
             mask_scratch: Vec::new(),
             subst_scratch: Vec::new(),
             constrain_cache: BinCache::new(),
@@ -443,7 +449,7 @@ impl Inner {
         if g.is_true() && h.is_false() {
             return f;
         }
-        if let Some(r) = self.ite_cache.lookup(f, g, h) {
+        if let Some(r) = self.ite_cache.lookup(f.0, g.0, h.0) {
             self.stats.ite_hits += 1;
             return r;
         }
@@ -456,7 +462,7 @@ impl Inner {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let r = self.mk(var, lo, hi);
-        self.ite_cache.insert(f, g, h, r);
+        self.ite_cache.insert(f.0, g.0, h.0, r);
         r
     }
 
@@ -645,10 +651,12 @@ impl Inner {
         freed
     }
 
-    /// Drops all memoization caches, including the generation-tagged
-    /// quantification caches and the simplification caches — after a
-    /// reorder shuffles levels (or a collection recycles slots), a stale
-    /// memoized `Ref` must never be observable. `constrain`/`restrict`
+    /// Drops all memoization caches, including the quantification,
+    /// renaming and simplification caches — after a reorder shuffles
+    /// levels (or a collection recycles slots), a stale memoized `Ref`
+    /// must never be observable. Entries keyed on a registered set or
+    /// map outlive their call, so this is their only invalidation.
+    /// `constrain`/`restrict`
     /// results additionally *depend* on the variable order, so surviving
     /// a reorder would be wrong even without slot recycling.
     pub fn clear_caches(&mut self) {

@@ -2,8 +2,32 @@
 //! `and_exists`, and the multi-operand, schedule-driven
 //! conjoin-and-quantify used by partitioned image computation.
 
+use std::rc::Rc;
+
+use crate::handle::BddManager;
 use crate::manager::Inner;
 use crate::node::{Ref, VarId};
+use crate::table::SCOPED;
+
+/// `quant_cache` op word of an `exists` entry.
+pub(crate) const OP_EXISTS: u32 = 0;
+/// `quant_cache` op word of a `forall` entry.
+pub(crate) const OP_FORALL: u32 = 1;
+/// `quant_cache` op word of a substitution entry (`cofactor`,
+/// `compose`, renaming), keyed by a per-call generation or a
+/// [`crate::VarMap`] id.
+pub(crate) const OP_SUBST: u32 = 2;
+
+/// A quantified variable set registered once on a manager: a var-indexed
+/// mask plus an id, unique on its manager, under which the
+/// quantification memos keep their entries across calls. The default
+/// (empty) set quantifies nothing and never touches a memo.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct QuantSet {
+    id: u32,
+    vars: Rc<[VarId]>,
+    mask: Rc<[bool]>,
+}
 
 /// An early-quantification schedule for a fixed operand sequence
 /// (Burch–Clarke–Long): each quantified variable is eliminated at the
@@ -11,17 +35,21 @@ use crate::node::{Ref, VarId};
 /// the left-to-right conjunction where its support ends.
 ///
 /// Build once with [`crate::BddManager::quant_schedule`] and replay with
-/// [`crate::BddManager::and_exists_schedule`]; the schedule depends only on the
-/// operands' supports, so it stays valid across garbage collection and
-/// dynamic reordering as long as the operand `Ref`s themselves do.
+/// [`crate::BddManager::and_exists_schedule`]. Each step's variable set
+/// is registered on the manager, so every replay hits the memo entries
+/// of the replays before it. The schedule depends only on the operands'
+/// supports, so it stays valid across garbage collection and dynamic
+/// reordering as long as the operands themselves do.
 #[derive(Debug, Clone, Default)]
 pub struct QuantSchedule {
+    /// The manager the sets are registered on (`None`: no operands).
+    pub(crate) mgr: Option<BddManager>,
     /// Variables appearing in no operand: quantified out of the seed
     /// before the first conjunction (identity unless the seed uses them).
-    pub(crate) pre: Vec<VarId>,
+    pub(crate) pre: QuantSet,
     /// `at[i]`: variables whose last occurrence is operand `i`, eliminated
     /// while conjoining that operand.
-    pub(crate) at: Vec<Vec<VarId>>,
+    pub(crate) at: Vec<QuantSet>,
 }
 
 impl QuantSchedule {
@@ -36,7 +64,62 @@ impl QuantSchedule {
     }
 }
 
+/// One quantification's context as the recursions see it.
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    /// Var-indexed: is the variable quantified? (Past the end: no.)
+    mask: &'a [bool],
+    /// One past the deepest level of a quantified variable: below it a
+    /// relational product is a plain conjunction.
+    end: u32,
+    /// Memo key word: a registered set's id or a call's generation.
+    key: u32,
+}
+
+impl Scope<'_> {
+    #[inline]
+    fn quantifies(&self, var: u32) -> bool {
+        self.mask.get(var as usize).copied().unwrap_or(false)
+    }
+}
+
 impl Inner {
+    /// Issues an id, unique on this engine, for a registered
+    /// quantification set or [`crate::VarMap`]. Ids are never reused — a
+    /// reused id would let one set's memo entries answer for another's —
+    /// so running out is a hard error.
+    pub(crate) fn new_id(&mut self) -> u32 {
+        let id = self.next_id;
+        assert!(id < SCOPED, "quantification-set and VarMap ids exhausted");
+        self.next_id += 1;
+        id
+    }
+
+    /// Registers `vars` as a quantification set.
+    pub(crate) fn quant_set(&mut self, vars: &[VarId]) -> QuantSet {
+        if vars.is_empty() {
+            return QuantSet::default();
+        }
+        let mut mask = vec![false; self.num_vars()];
+        for &v in vars {
+            mask[v.index()] = true;
+        }
+        QuantSet {
+            id: self.new_id(),
+            vars: vars.into(),
+            mask: mask.into(),
+        }
+    }
+
+    fn scope<'a>(&self, vars: &[VarId], mask: &'a [bool], key: u32) -> Scope<'a> {
+        let end = vars.iter().map(|&v| self.level_of(v) + 1).max();
+        Scope {
+            mask,
+            end: end.unwrap_or(0),
+            key,
+        }
+    }
+
     /// Existential quantification `∃ vars. f`.
     ///
     /// # Examples
@@ -50,26 +133,27 @@ impl Inner {
     /// assert_eq!(f.exists(&[x]), mgr.var(y));
     /// ```
     pub fn exists(&mut self, f: Ref, vars: &[VarId]) -> Ref {
-        let mask = self.take_mask(vars);
-        let tag = self.quant_cache.begin();
-        let r = self.quant_rec(f, &mask, true, tag);
-        self.mask_scratch = mask;
-        r
+        self.quant_adhoc(f, vars, OP_EXISTS)
     }
 
     /// Universal quantification `∀ vars. f`.
     pub fn forall(&mut self, f: Ref, vars: &[VarId]) -> Ref {
+        self.quant_adhoc(f, vars, OP_FORALL)
+    }
+
+    fn quant_adhoc(&mut self, f: Ref, vars: &[VarId], op: u32) -> Ref {
         let mask = self.take_mask(vars);
-        let tag = self.quant_cache.begin();
-        let r = self.quant_rec(f, &mask, false, tag);
+        let key = self.quant_cache.begin();
+        let scope = self.scope(vars, &mask, key);
+        let r = self.quant_rec(f, scope, op);
         self.mask_scratch = mask;
         r
     }
 
-    /// Fills and returns the manager-owned variable mask (moved out so the
-    /// recursion can borrow `self` mutably); callers hand it back by
-    /// storing it into `mask_scratch`, preserving its capacity for the
-    /// next quantification instead of allocating per call.
+    /// Fills and returns the manager-owned variable mask of an ad-hoc
+    /// quantification (moved out so the recursion can borrow `self`
+    /// mutably); callers hand it back by storing it into `mask_scratch`,
+    /// preserving its capacity for the next call.
     fn take_mask(&mut self, vars: &[VarId]) -> Vec<bool> {
         let mut mask = std::mem::take(&mut self.mask_scratch);
         mask.clear();
@@ -80,31 +164,27 @@ impl Inner {
         mask
     }
 
-    /// `tag` scopes the cache entries to one top-level call: the mask
-    /// differs between calls, so a fresh generation (not a wipe) keeps
-    /// earlier calls' entries from matching.
-    fn quant_rec(&mut self, f: Ref, mask: &[bool], existential: bool, tag: u64) -> Ref {
-        if f.is_const() {
-            return f;
+    /// `∃ set. f` for `op == OP_EXISTS`, `∀ set. f` for `OP_FORALL`.
+    fn quant_rec(&mut self, f: Ref, scope: Scope, op: u32) -> Ref {
+        if self.level(f) >= scope.end {
+            return f; // no quantified variable at or below f's top
         }
-        if let Some(r) = self.quant_cache.lookup(tag, f) {
+        if let Some(r) = self.quant_cache.lookup(f.0, scope.key, op) {
             self.stats.quant_hits += 1;
             return r;
         }
         self.stats.quant_misses += 1;
         let n = self.node(f);
-        let lo = self.quant_rec(n.lo, mask, existential, tag);
-        let hi = self.quant_rec(n.hi, mask, existential, tag);
-        let r = if mask[n.var as usize] {
-            if existential {
-                self.or(lo, hi)
-            } else {
-                self.and(lo, hi)
-            }
-        } else {
+        let lo = self.quant_rec(n.lo, scope, op);
+        let hi = self.quant_rec(n.hi, scope, op);
+        let r = if !scope.quantifies(n.var) {
             self.mk(n.var, lo, hi)
+        } else if op == OP_EXISTS {
+            self.or(lo, hi)
+        } else {
+            self.and(lo, hi)
         };
-        self.quant_cache.insert(tag, f, r);
+        self.quant_cache.insert(f.0, scope.key, op, r);
         r
     }
 
@@ -115,13 +195,14 @@ impl Inner {
     /// workhorse of symbolic image/preimage computation.
     pub fn and_exists(&mut self, f: Ref, g: Ref, vars: &[VarId]) -> Ref {
         let mask = self.take_mask(vars);
-        let tag = self.pair_cache.begin();
-        let r = self.and_exists_rec(f, g, &mask, tag);
+        let key = self.pair_cache.begin();
+        let scope = self.scope(vars, &mask, key);
+        let r = self.and_exists_rec(f, g, scope);
         self.mask_scratch = mask;
         r
     }
 
-    fn and_exists_rec(&mut self, f: Ref, g: Ref, mask: &[bool], tag: u64) -> Ref {
+    fn and_exists_rec(&mut self, f: Ref, g: Ref, scope: Scope) -> Ref {
         if f.is_false() || g.is_false() {
             return Ref::FALSE;
         }
@@ -130,48 +211,47 @@ impl Inner {
         }
         // Normalize operand order: ∧ is commutative.
         let (f, g) = if f <= g { (f, g) } else { (g, f) };
-        if let Some(r) = self.pair_cache.lookup(tag, f, g) {
+        let top = self.level(f).min(self.level(g));
+        if top >= scope.end {
+            return self.and(f, g);
+        }
+        if let Some(r) = self.pair_cache.lookup(f.0, g.0, scope.key) {
             self.stats.pair_hits += 1;
             return r;
         }
         self.stats.pair_misses += 1;
-        let top = self.level(f).min(self.level(g));
         let var = self.var_at_level(top);
         let (f0, f1) = self.cofactors_at(f, top);
         let (g0, g1) = self.cofactors_at(g, top);
-        let r = if mask[var.index()] {
-            let lo = self.and_exists_rec(f0, g0, mask, tag);
+        let r = if scope.quantifies(var.0) {
+            let lo = self.and_exists_rec(f0, g0, scope);
             if lo.is_true() {
                 // Early termination: ∨ with true.
-                self.pair_cache.insert(tag, f, g, Ref::TRUE);
+                self.pair_cache.insert(f.0, g.0, scope.key, Ref::TRUE);
                 return Ref::TRUE;
             }
-            let hi = self.and_exists_rec(f1, g1, mask, tag);
+            let hi = self.and_exists_rec(f1, g1, scope);
             self.or(lo, hi)
         } else {
-            let lo = self.and_exists_rec(f0, g0, mask, tag);
-            let hi = self.and_exists_rec(f1, g1, mask, tag);
+            let lo = self.and_exists_rec(f0, g0, scope);
+            let hi = self.and_exists_rec(f1, g1, scope);
             self.mk(var.0, lo, hi)
         };
-        self.pair_cache.insert(tag, f, g, r);
+        self.pair_cache.insert(f.0, g.0, scope.key, r);
         r
     }
 
-    /// Builds the early-quantification schedule for eliminating `vars`
-    /// from the conjunction of `operands` (in the given order): each
-    /// variable is assigned to the last operand whose support contains it.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by in-crate tests
-    pub fn quant_schedule(&self, operands: &[Ref], vars: &[VarId]) -> QuantSchedule {
-        self.quant_schedule_many(operands, &[vars]).pop().unwrap()
-    }
-
-    /// Builds several schedules over the same operand sequence — one per
-    /// variable list — computing each operand's support only once.
-    pub fn quant_schedule_many(
-        &self,
+    /// Builds the early-quantification schedules for eliminating each
+    /// variable list from the conjunction of `operands` (in the given
+    /// order), computing each operand's support only once. Each variable
+    /// is assigned to the last operand whose support contains it; a
+    /// schedule comes back as its pre-quantification set and one set per
+    /// operand, each registered on this engine.
+    pub fn quant_sets(
+        &mut self,
         operands: &[Ref],
         var_lists: &[&[VarId]],
-    ) -> Vec<QuantSchedule> {
+    ) -> Vec<(QuantSet, Vec<QuantSet>)> {
         let supports: Vec<std::collections::HashSet<VarId>> = operands
             .iter()
             .map(|&f| self.support(f).into_iter().collect())
@@ -190,14 +270,16 @@ impl Inner {
                         None => pre.push(v),
                     }
                 }
-                QuantSchedule { pre, at }
+                let pre = self.quant_set(&pre);
+                let at = at.iter().map(|vars| self.quant_set(vars)).collect();
+                (pre, at)
             })
             .collect()
     }
 
     /// Schedule-driven relational product `∃ vars. (seed ∧ ⋀ operands)`,
-    /// where `schedule` was built by [`crate::BddManager::quant_schedule`] over the same
-    /// `operands` and `vars`.
+    /// where `pre` and `at` are one schedule from [`Inner::quant_sets`]
+    /// over the same `operands`.
     ///
     /// The conjunction is folded left to right and each variable is
     /// quantified out at the operand where its support ends, so the
@@ -208,28 +290,24 @@ impl Inner {
     ///
     /// # Panics
     ///
-    /// Panics if `schedule.len() != operands.len()`.
+    /// Panics if `at.len() != operands.len()`.
     pub fn and_exists_schedule(
         &mut self,
         seed: Ref,
         operands: &[Ref],
-        schedule: &QuantSchedule,
+        pre: &QuantSet,
+        at: &[QuantSet],
     ) -> Ref {
         assert_eq!(
-            schedule.len(),
+            at.len(),
             operands.len(),
             "schedule built for a different operand sequence"
         );
-        let mut acc = seed;
-        if !schedule.pre.is_empty() {
-            acc = self.exists(acc, &schedule.pre);
-        }
-        for (&f, vars) in operands.iter().zip(&schedule.at) {
-            acc = if vars.is_empty() {
-                self.and(acc, f)
-            } else {
-                self.and_exists(acc, f, vars)
-            };
+        let scope = self.scope(&pre.vars, &pre.mask, pre.id);
+        let mut acc = self.quant_rec(seed, scope, OP_EXISTS);
+        for (&f, set) in operands.iter().zip(at) {
+            let scope = self.scope(&set.vars, &set.mask, set.id);
+            acc = self.and_exists_rec(acc, f, scope);
             if acc.is_false() {
                 return Ref::FALSE;
             }
@@ -247,8 +325,11 @@ impl Inner {
     /// replay it with [`crate::BddManager::and_exists_schedule`].
     #[cfg_attr(not(test), allow(dead_code))] // exercised by in-crate tests
     pub fn and_exists_multi(&mut self, operands: &[Ref], vars: &[VarId]) -> Ref {
-        let schedule = self.quant_schedule(operands, vars);
-        self.and_exists_schedule(Ref::TRUE, operands, &schedule)
+        let (pre, at) = self
+            .quant_sets(operands, &[vars])
+            .pop()
+            .expect("one list in");
+        self.and_exists_schedule(Ref::TRUE, operands, &pre, &at)
     }
 
     /// Shannon cofactor by a literal: `f` with `var` fixed to `value`.
@@ -256,11 +337,11 @@ impl Inner {
     /// (The care-set generalized cofactors live in `simplify.rs` as
     /// [`Inner::constrain`] and [`Inner::restrict`].)
     pub fn cofactor(&mut self, f: Ref, var: VarId, value: bool) -> Ref {
-        let tag = self.quant_cache.begin();
-        self.cofactor_rec(f, var, value, tag)
+        let generation = self.quant_cache.begin();
+        self.cofactor_rec(f, var, value, generation)
     }
 
-    fn cofactor_rec(&mut self, f: Ref, var: VarId, value: bool, tag: u64) -> Ref {
+    fn cofactor_rec(&mut self, f: Ref, var: VarId, value: bool, generation: u32) -> Ref {
         if f.is_const() {
             return f;
         }
@@ -269,7 +350,7 @@ impl Inner {
         if flevel > vlevel {
             return f; // var cannot appear below its level
         }
-        if let Some(r) = self.quant_cache.lookup(tag, f) {
+        if let Some(r) = self.quant_cache.lookup(f.0, generation, OP_SUBST) {
             self.stats.quant_hits += 1;
             return r;
         }
@@ -282,11 +363,11 @@ impl Inner {
                 n.lo
             }
         } else {
-            let lo = self.cofactor_rec(n.lo, var, value, tag);
-            let hi = self.cofactor_rec(n.hi, var, value, tag);
+            let lo = self.cofactor_rec(n.lo, var, value, generation);
+            let hi = self.cofactor_rec(n.hi, var, value, generation);
             self.mk(n.var, lo, hi)
         };
-        self.quant_cache.insert(tag, f, r);
+        self.quant_cache.insert(f.0, generation, OP_SUBST, r);
         r
     }
 
@@ -383,11 +464,14 @@ mod tests {
         let lits: Vec<Ref> = vars.iter().map(|&v| b.var(v)).collect();
         let t0 = b.and(lits[0], lits[1]);
         let t1 = b.or(lits[1], lits[2]);
-        let sched = b.quant_schedule(&[t0, t1], &[vars[0], vars[1], vars[3]]);
+        let (pre, at) = b
+            .quant_sets(&[t0, t1], &[&[vars[0], vars[1], vars[3]]])
+            .pop()
+            .unwrap();
         // var 0 ends at operand 0, var 1 at operand 1, var 3 nowhere.
-        assert_eq!(sched.at[0], vec![vars[0]]);
-        assert_eq!(sched.at[1], vec![vars[1]]);
-        assert_eq!(sched.pre, vec![vars[3]]);
+        assert_eq!(*at[0].vars, [vars[0]]);
+        assert_eq!(*at[1].vars, [vars[1]]);
+        assert_eq!(*pre.vars, [vars[3]]);
     }
 
     #[test]
@@ -402,8 +486,8 @@ mod tests {
         };
         let seed = b.and(lits[0], lits[2]);
         let quantified = [vars[0], vars[1], vars[2], vars[5]];
-        let sched = b.quant_schedule(&[t0, t1], &quantified);
-        let fused = b.and_exists_schedule(seed, &[t0, t1], &sched);
+        let (pre, at) = b.quant_sets(&[t0, t1], &[&quantified]).pop().unwrap();
+        let fused = b.and_exists_schedule(seed, &[t0, t1], &pre, &at);
         let conj = {
             let c = b.and(seed, t0);
             b.and(c, t1)

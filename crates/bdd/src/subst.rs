@@ -1,12 +1,15 @@
 //! Substitution: functional composition and variable renaming.
 //!
 //! The substitution map is a manager-owned scratch vector indexed by
-//! variable (`NIL_REF` = identity), and the per-call memo is the shared
-//! generation-tagged unary cache — no allocation, no hashing of boxed
-//! keys, one array read per node visit.
+//! variable (`NIL_REF` = identity), and the memo is the shared unary
+//! cache — no allocation, no hashing of boxed keys, one array read per
+//! node visit. Memo entries are scoped to the call by a generation,
+//! except a renaming through a [`crate::VarMap`]: keyed on the map's id,
+//! its entries serve every later call with the same map.
 
 use crate::manager::Inner;
 use crate::node::{Ref, VarId};
+use crate::quant::OP_SUBST;
 
 /// Identity marker in the substitution scratch vector. Never a valid
 /// node: the arena allocator keeps slots below `FREE_VAR < u32::MAX`.
@@ -37,6 +40,13 @@ impl Inner {
     /// two variables, whereas two sequential [`Inner::compose`] calls would
     /// collapse them.
     pub fn vector_compose(&mut self, f: Ref, map: &[(VarId, Ref)]) -> Ref {
+        let generation = self.quant_cache.begin();
+        self.vector_compose_keyed(f, map, generation)
+    }
+
+    /// [`Inner::vector_compose`] memoized under `key`: a
+    /// [`crate::VarMap`]'s id, or a call's generation.
+    fn vector_compose_keyed(&mut self, f: Ref, map: &[(VarId, Ref)], key: u32) -> Ref {
         // Move the scratch vector out so the recursion can borrow `self`
         // mutably; hand it back afterwards to keep its capacity.
         let mut subst = std::mem::take(&mut self.subst_scratch);
@@ -45,22 +55,21 @@ impl Inner {
         for &(v, g) in map {
             subst[v.index()] = g;
         }
-        let tag = self.quant_cache.begin();
-        let r = self.compose_rec(f, &subst, tag);
+        let r = self.compose_rec(f, &subst, key);
         self.subst_scratch = subst;
         r
     }
 
-    fn compose_rec(&mut self, f: Ref, subst: &[Ref], tag: u64) -> Ref {
+    fn compose_rec(&mut self, f: Ref, subst: &[Ref], key: u32) -> Ref {
         if f.is_const() {
             return f;
         }
-        if let Some(r) = self.quant_cache.lookup(tag, f) {
+        if let Some(r) = self.quant_cache.lookup(f.0, key, OP_SUBST) {
             return r;
         }
         let n = self.node(f);
-        let lo = self.compose_rec(n.lo, subst, tag);
-        let hi = self.compose_rec(n.hi, subst, tag);
+        let lo = self.compose_rec(n.lo, subst, key);
+        let hi = self.compose_rec(n.hi, subst, key);
         let selector = match subst[n.var as usize] {
             NIL_REF => self.var(VarId(n.var)),
             g => g,
@@ -68,7 +77,7 @@ impl Inner {
         // ITE keeps the result canonical even when the substituted
         // function's support lies above the current level.
         let r = self.ite(selector, hi, lo);
-        self.quant_cache.insert(tag, f, r);
+        self.quant_cache.insert(f.0, key, OP_SUBST, r);
         r
     }
 
@@ -78,6 +87,13 @@ impl Inner {
     /// Used to move a function between the current-state and next-state
     /// variable ranks of a transition system.
     pub fn rename(&mut self, f: Ref, pairs: &[(VarId, VarId)]) -> Ref {
+        let generation = self.quant_cache.begin();
+        self.rename_with(f, pairs, generation)
+    }
+
+    /// [`Inner::rename`] memoized under `key`: a [`crate::VarMap`]'s id,
+    /// or a call's generation.
+    pub(crate) fn rename_with(&mut self, f: Ref, pairs: &[(VarId, VarId)], key: u32) -> Ref {
         let map: Vec<(VarId, Ref)> = pairs
             .iter()
             .map(|&(from, to)| {
@@ -85,7 +101,7 @@ impl Inner {
                 (from, tref)
             })
             .collect();
-        self.vector_compose(f, &map)
+        self.vector_compose_keyed(f, &map, key)
     }
 
     /// Swaps each pair of variables in both directions simultaneously

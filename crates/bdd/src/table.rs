@@ -24,11 +24,19 @@
 //! an entry can only cost a recomputation, and the recomputation
 //! rebuilds the very same nodes through the unique table, so results
 //! (and even slot assignment) are bit-identical to an engine with
-//! unbounded memos. Per-call-scoped memos (quantification masks differ
-//! between calls) are handled with a generation tag instead of a wipe:
-//! each top-level call bumps the tag, so entries from earlier calls can
-//! never match. `clear_caches` still hard-clears everything, preserving
-//! the contract that gc / reordering leave no stale `Ref` observable.
+//! unbounded memos.
+//!
+//! Every key names everything the result depends on. Operations whose
+//! context varies between calls carry it as one key word: a
+//! quantification set or a renaming registered once on the manager
+//! (the steps of a [`crate::QuantSchedule`], a [`crate::VarMap`]) keys
+//! on its manager-issued id, so its entries serve every later call with
+//! the same set or map — the next iteration of a fixpoint, above all.
+//! Ad-hoc calls (`exists`, `and_exists` on a bare variable list,
+//! `vector_compose`, `cofactor`) key on a per-call generation instead,
+//! so their entries die with the call. `clear_caches` — run by every gc
+//! and reordering — is the only invalidation, and it keeps the contract
+//! that no stale `Ref` is ever observable.
 
 use crate::node::{PackedNode, Ref};
 
@@ -280,64 +288,63 @@ const UNARY_BITS: u32 = 15;
 const PAIR_BITS: u32 = 15;
 const BIN_BITS: u32 = 14;
 
-/// Direct-mapped cache for the ternary `ite` operator (16 bytes/entry).
-/// Persistent across calls; cleared by `clear_caches` only.
+/// Direct-mapped cache keyed by three words (16 bytes/entry), with
+/// `2^BITS` slots. Persistent across calls; cleared by `clear_caches`
+/// only.
 #[derive(Debug, Clone)]
-pub(crate) struct IteCache {
-    slots: Box<[IteEntry]>,
+pub(crate) struct TripleCache<const BITS: u32> {
+    slots: Box<[TripleEntry]>,
 }
 
 #[derive(Debug, Clone, Copy)]
-struct IteEntry {
-    f: u32,
-    g: u32,
-    h: u32,
+struct TripleEntry {
+    a: u32,
+    b: u32,
+    c: u32,
     r: u32,
 }
 
-impl IteCache {
+/// The `ite` memo, keyed `(f, g, h)`.
+pub(crate) type IteCache = TripleCache<ITE_BITS>;
+
+impl<const BITS: u32> TripleCache<BITS> {
     /// Starts unallocated: the slot array materializes on the first
-    /// insert, so a manager that never computes an `ite` (or just got
+    /// insert, so a manager that never runs the operation (or just got
     /// its caches cleared) costs no cache memory. This keeps fresh
     /// managers — e.g. the parallel engine's per-task managers — cheap
     /// to create.
     pub fn new() -> Self {
-        IteCache {
+        TripleCache {
             slots: Box::new([]),
         }
     }
 
     #[inline]
-    fn index(f: Ref, g: Ref, h: Ref) -> usize {
-        (hash_triple(f.0, g.0, h.0) >> (64 - ITE_BITS)) as usize
+    fn index(a: u32, b: u32, c: u32) -> usize {
+        (hash_triple(a, b, c) >> (64 - BITS)) as usize
     }
 
     #[inline]
-    pub fn lookup(&self, f: Ref, g: Ref, h: Ref) -> Option<Ref> {
+    pub fn lookup(&self, a: u32, b: u32, c: u32) -> Option<Ref> {
         if self.slots.is_empty() {
             return None;
         }
-        let e = &self.slots[Self::index(f, g, h)];
-        (e.f == f.0 && e.g == g.0 && e.h == h.0).then_some(Ref(e.r))
+        let e = &self.slots[Self::index(a, b, c)];
+        (e.a == a && e.b == b && e.c == c).then_some(Ref(e.r))
     }
 
     #[inline]
-    pub fn insert(&mut self, f: Ref, g: Ref, h: Ref, r: Ref) {
+    pub fn insert(&mut self, a: u32, b: u32, c: u32, r: Ref) {
         if self.slots.is_empty() {
-            let empty = IteEntry {
-                f: EMPTY,
-                g: EMPTY,
-                h: EMPTY,
+            let empty = TripleEntry {
+                a: EMPTY,
+                b: EMPTY,
+                c: EMPTY,
                 r: EMPTY,
             };
-            self.slots = vec![empty; 1 << ITE_BITS].into_boxed_slice();
+            self.slots = vec![empty; 1 << BITS].into_boxed_slice();
         }
-        self.slots[Self::index(f, g, h)] = IteEntry {
-            f: f.0,
-            g: g.0,
-            h: h.0,
-            r: r.0,
-        };
+        self.slots[Self::index(a, b, c)] = TripleEntry { a, b, c, r: r.0 };
     }
 
     /// Releases the slot array entirely (cheaper than a multi-megabyte
@@ -350,184 +357,80 @@ impl IteCache {
     /// Occupied entries (test/diagnostic use; O(capacity)).
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn occupied(&self) -> usize {
-        self.slots.iter().filter(|e| e.f != EMPTY).count()
+        self.slots.iter().filter(|e| e.a != EMPTY).count()
     }
 
     pub fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<IteEntry>()
+        self.slots.len() * std::mem::size_of::<TripleEntry>()
     }
 }
 
-/// Direct-mapped, generation-tagged cache for unary traversals keyed by
-/// one `Ref` (quantification, cofactor-by-literal, compose). Each
-/// top-level call gets a fresh tag from [`UnaryCache::begin`], so
-/// entries written under a different mask / substitution can never
-/// match — the tag replaces the per-call `HashMap::clear`.
+/// Key-word bit marking a per-call generation. Ids issued by the
+/// manager (registered quantification sets and renamings) stay below
+/// it, so a call's scoped entries never meet a registered set's.
+pub(crate) const SCOPED: u32 = 1 << 31;
+
+/// A [`TripleCache`] whose key word names the context of an entry:
+/// either an id the manager issued once (a registered quantification
+/// set or renaming — entries persist across calls) or a per-call
+/// generation from [`KeyedCache::begin`] (entries die with the call).
 #[derive(Debug, Clone)]
-pub(crate) struct UnaryCache {
-    slots: Box<[UnaryEntry]>,
-    tag: u64,
+pub(crate) struct KeyedCache<const BITS: u32> {
+    slots: TripleCache<BITS>,
+    generation: u32,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct UnaryEntry {
-    /// Generation tag (0 = never written; live tags start at 1).
-    tag: u64,
-    key: u32,
-    r: u32,
-}
+/// The fused relational product's memo, keyed `(f, g, key)`.
+pub(crate) type PairCache = KeyedCache<PAIR_BITS>;
 
-impl UnaryCache {
-    /// Starts unallocated; see [`IteCache::new`].
+/// The memo of the unary traversals (`exists`, `forall`, `cofactor`,
+/// `compose`, renaming), keyed `(f, key, op)`.
+pub(crate) type UnaryCache = KeyedCache<UNARY_BITS>;
+
+impl<const BITS: u32> KeyedCache<BITS> {
+    /// Starts unallocated; see [`TripleCache::new`].
     pub fn new() -> Self {
-        UnaryCache {
-            slots: Box::new([]),
-            tag: 0,
+        KeyedCache {
+            slots: TripleCache::new(),
+            generation: 0,
         }
     }
 
-    /// Starts a new top-level operation; only entries written under the
-    /// returned tag will hit.
-    pub fn begin(&mut self) -> u64 {
-        self.tag += 1;
-        self.tag
-    }
-
-    #[inline]
-    fn index(key: Ref) -> usize {
-        ((key.0 as u64).wrapping_mul(FIB) >> (64 - UNARY_BITS)) as usize
-    }
-
-    #[inline]
-    pub fn lookup(&self, tag: u64, key: Ref) -> Option<Ref> {
-        if self.slots.is_empty() {
-            return None;
+    /// Starts a per-call scope: only entries written under the returned
+    /// key will hit. When the generation counter wraps, the slots are
+    /// dropped, so a reissued generation never meets its namesake.
+    pub fn begin(&mut self) -> u32 {
+        self.generation = (self.generation + 1) & !SCOPED;
+        if self.generation == 0 {
+            self.slots.clear();
         }
-        let e = &self.slots[Self::index(key)];
-        (e.tag == tag && e.key == key.0).then_some(Ref(e.r))
+        SCOPED | self.generation
     }
 
     #[inline]
-    pub fn insert(&mut self, tag: u64, key: Ref, r: Ref) {
-        if self.slots.is_empty() {
-            self.slots = vec![
-                UnaryEntry {
-                    tag: 0,
-                    key: EMPTY,
-                    r: EMPTY
-                };
-                1 << UNARY_BITS
-            ]
-            .into_boxed_slice();
-        }
-        self.slots[Self::index(key)] = UnaryEntry {
-            tag,
-            key: key.0,
-            r: r.0,
-        };
+    pub fn lookup(&self, a: u32, b: u32, c: u32) -> Option<Ref> {
+        self.slots.lookup(a, b, c)
     }
 
-    /// Releases the slot array. The tag counter keeps running, so stale
-    /// entries can never be hit even across a clear-and-reallocate
-    /// cycle (freshly allocated slots carry tag 0, which `begin` never
-    /// returns).
+    #[inline]
+    pub fn insert(&mut self, a: u32, b: u32, c: u32, r: Ref) {
+        self.slots.insert(a, b, c, r);
+    }
+
+    /// Releases the slot array. The generation counter keeps running,
+    /// so entries of finished calls stay unhittable.
     pub fn clear(&mut self) {
-        self.slots = Box::new([]);
+        self.slots.clear();
     }
 
-    /// Entries ever written since the last clear (test/diagnostic use).
+    /// Occupied entries (test/diagnostic use; O(capacity)).
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn occupied(&self) -> usize {
-        self.slots.iter().filter(|e| e.tag != 0).count()
+        self.slots.occupied()
     }
 
     pub fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<UnaryEntry>()
-    }
-}
-
-/// Direct-mapped, generation-tagged cache keyed by an ordered `Ref`
-/// pair: the fused relational product's memo (the quantified-variable
-/// mask changes per call, hence the tag).
-#[derive(Debug, Clone)]
-pub(crate) struct PairCache {
-    slots: Box<[PairEntry]>,
-    tag: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PairEntry {
-    tag: u64,
-    a: u32,
-    b: u32,
-    r: u32,
-}
-
-impl PairCache {
-    /// Starts unallocated; see [`IteCache::new`].
-    pub fn new() -> Self {
-        PairCache {
-            slots: Box::new([]),
-            tag: 0,
-        }
-    }
-
-    /// Starts a new top-level operation (see [`UnaryCache::begin`]).
-    pub fn begin(&mut self) -> u64 {
-        self.tag += 1;
-        self.tag
-    }
-
-    #[inline]
-    fn index(a: Ref, b: Ref) -> usize {
-        (hash_pair(a, b) >> (64 - PAIR_BITS)) as usize
-    }
-
-    #[inline]
-    pub fn lookup(&self, tag: u64, a: Ref, b: Ref) -> Option<Ref> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let e = &self.slots[Self::index(a, b)];
-        (e.tag == tag && e.a == a.0 && e.b == b.0).then_some(Ref(e.r))
-    }
-
-    #[inline]
-    pub fn insert(&mut self, tag: u64, a: Ref, b: Ref, r: Ref) {
-        if self.slots.is_empty() {
-            self.slots = vec![
-                PairEntry {
-                    tag: 0,
-                    a: EMPTY,
-                    b: EMPTY,
-                    r: EMPTY
-                };
-                1 << PAIR_BITS
-            ]
-            .into_boxed_slice();
-        }
-        self.slots[Self::index(a, b)] = PairEntry {
-            tag,
-            a: a.0,
-            b: b.0,
-            r: r.0,
-        };
-    }
-
-    /// Releases the slot array; see [`UnaryCache::clear`] for why stale
-    /// tags stay unhittable.
-    pub fn clear(&mut self) {
-        self.slots = Box::new([]);
-    }
-
-    /// Entries ever written since the last clear (test/diagnostic use).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn occupied(&self) -> usize {
-        self.slots.iter().filter(|e| e.tag != 0).count()
-    }
-
-    pub fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<PairEntry>()
+        self.slots.bytes()
     }
 }
 
@@ -674,45 +577,63 @@ mod tests {
     #[test]
     fn ite_cache_is_lossy_but_exact() {
         let mut c = IteCache::new();
-        assert_eq!(c.lookup(Ref(2), Ref(3), Ref(4)), None);
-        c.insert(Ref(2), Ref(3), Ref(4), Ref(9));
-        assert_eq!(c.lookup(Ref(2), Ref(3), Ref(4)), Some(Ref(9)));
+        assert_eq!(c.lookup(2, 3, 4), None);
+        c.insert(2, 3, 4, Ref(9));
+        assert_eq!(c.lookup(2, 3, 4), Some(Ref(9)));
         // A different key never aliases to a wrong answer.
-        assert_eq!(c.lookup(Ref(2), Ref(3), Ref(5)), None);
+        assert_eq!(c.lookup(2, 3, 5), None);
         assert_eq!(c.occupied(), 1);
         c.clear();
         assert_eq!(c.occupied(), 0);
-        assert_eq!(c.lookup(Ref(2), Ref(3), Ref(4)), None);
+        assert_eq!(c.lookup(2, 3, 4), None);
     }
 
     #[test]
     fn unary_cache_generations_do_not_leak() {
         let mut c = UnaryCache::new();
         let t1 = c.begin();
-        c.insert(t1, Ref(7), Ref(11));
-        assert_eq!(c.lookup(t1, Ref(7)), Some(Ref(11)));
+        c.insert(7, t1, 2, Ref(11));
+        assert_eq!(c.lookup(7, t1, 2), Some(Ref(11)));
         let t2 = c.begin();
-        // Same key, new generation: the old entry must not match.
-        assert_eq!(c.lookup(t2, Ref(7)), None);
-        c.insert(t2, Ref(7), Ref(13));
-        assert_eq!(c.lookup(t2, Ref(7)), Some(Ref(13)));
+        // Same node, new generation: the old entry must not match.
+        assert_eq!(c.lookup(7, t2, 2), None);
+        c.insert(7, t2, 2, Ref(13));
+        assert_eq!(c.lookup(7, t2, 2), Some(Ref(13)));
+        // Same node and key under another op is another entry.
+        assert_eq!(c.lookup(7, t2, 0), None);
         assert!(c.occupied() > 0);
         c.clear();
         assert_eq!(c.occupied(), 0);
         let t3 = c.begin();
-        assert_eq!(c.lookup(t3, Ref(7)), None);
+        assert_eq!(c.lookup(7, t3, 2), None);
     }
 
     #[test]
     fn pair_cache_generations_do_not_leak() {
         let mut c = PairCache::new();
         let t1 = c.begin();
-        c.insert(t1, Ref(3), Ref(5), Ref(8));
-        assert_eq!(c.lookup(t1, Ref(3), Ref(5)), Some(Ref(8)));
+        assert!(t1 & SCOPED != 0, "generations never look like issued ids");
+        c.insert(3, 5, t1, Ref(8));
+        assert_eq!(c.lookup(3, 5, t1), Some(Ref(8)));
         let t2 = c.begin();
-        assert_eq!(c.lookup(t2, Ref(3), Ref(5)), None);
+        assert_eq!(c.lookup(3, 5, t2), None);
+        // An entry under an issued id persists across generations.
+        c.insert(3, 5, 40, Ref(9));
+        c.begin();
+        assert_eq!(c.lookup(3, 5, 40), Some(Ref(9)));
         c.clear();
         assert_eq!(c.occupied(), 0);
+    }
+
+    #[test]
+    fn generation_wrap_drops_entries() {
+        let mut c = PairCache::new();
+        c.generation = !SCOPED - 1;
+        let last = c.begin();
+        c.insert(3, 5, last, Ref(8));
+        c.insert(3, 6, 40, Ref(9));
+        assert_eq!(c.begin(), SCOPED, "the counter wraps within its bits");
+        assert_eq!(c.occupied(), 0, "a wrap must drop every entry");
     }
 
     #[test]

@@ -183,11 +183,13 @@ fn parallel_check_output_matches_sequential() {
     };
     assert_eq!(stable(&seq), stable(&par), "non-table output must match");
 
-    // Table rows: columns up to %COV (the 7th token from the right
+    // Table rows: the lines with the " - " separator, less the "BDDs -
+    // time" header (not the lines with "ms": a fast host prints every
+    // time in µs). Columns up to %COV (the 7th token from the right
     // starts the node/time columns) must match row by row.
     let row_keys = |s: &str| -> Vec<Vec<String>> {
         s.lines()
-            .filter(|l| l.contains("ms"))
+            .filter(|l| l.contains(" - ") && !l.contains("BDDs - "))
             .map(|l| {
                 let tokens: Vec<&str> = l.split_whitespace().collect();
                 assert!(tokens.len() >= 7, "unexpected table row: {l}");
@@ -558,12 +560,20 @@ fn progress_heartbeat_lands_on_stderr_only() {
         .arg("--coverage")
         .output()
         .expect("runs");
-    // The coverage table prints wall-clock columns, so compare stdout
-    // with the timing lines filtered out.
+    // The coverage table prints a wall-clock time after each " - ", so
+    // compare stdout with every " - <time>" stripped (not with the lines
+    // holding "ms" dropped: a fast host prints every time in µs).
     let stable = |out: &[u8]| -> String {
         String::from_utf8_lossy(out)
             .lines()
-            .filter(|l| !l.contains("ms"))
+            .map(|l| {
+                let mut parts = l.split(" - ");
+                let mut kept = parts.next().unwrap_or_default().to_owned();
+                for part in parts {
+                    kept.push_str(part.trim_start_matches(|c: char| c != ' '));
+                }
+                kept
+            })
             .collect::<Vec<_>>()
             .join("\n")
     };

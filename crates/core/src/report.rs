@@ -236,6 +236,14 @@ fn fmt_nodes(n: usize) -> String {
     }
 }
 
+/// One "BDDs - time" cell. Only the node count is padded, to a fixed
+/// width: a timing-free comparison of two runs strips " - <time>" from
+/// each cell, and padding beside the time would survive the strip and
+/// tell apart runs whose only difference is their timings.
+fn nodes_time(nodes: usize, time: Duration) -> String {
+    format!("{:>7} - {:.2?}", fmt_nodes(nodes), time)
+}
+
 impl fmt::Display for CoverageTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -245,8 +253,8 @@ impl fmt::Display for CoverageTable {
         )?;
         writeln!(
             f,
-            "{:<28} {:<10} {:>6} {:>8} {:>16} {:>16}",
-            "", "", "", "", "BDDs - time", "BDDs - time"
+            "{:<28} {:<10} {:>6} {:>8} {:>7} - time   {:>7} - time",
+            "", "", "", "", "BDDs", "BDDs"
         )?;
         let mut last_circuit = None;
         for r in &self.rows {
@@ -257,13 +265,13 @@ impl fmt::Display for CoverageTable {
             };
             writeln!(
                 f,
-                "{:<28} {:<10} {:>6} {:>8.2} {:>16} {:>16}",
+                "{:<28} {:<10} {:>6} {:>8.2} {} {}",
                 circuit,
                 r.signal,
                 r.num_properties,
                 r.percent,
-                format!("{} - {:.2?}", fmt_nodes(r.verify_nodes), r.verify_time),
-                format!("{} - {:.2?}", fmt_nodes(r.coverage_nodes), r.coverage_time),
+                nodes_time(r.verify_nodes, r.verify_time),
+                nodes_time(r.coverage_nodes, r.coverage_time),
             )?;
             last_circuit = Some(&r.circuit);
         }
@@ -308,6 +316,33 @@ mod tests {
         assert!(s.contains("124k"));
         // Circuit name shown once per group.
         assert_eq!(s.matches("Circuit 1").count(), 1);
+    }
+
+    #[test]
+    fn rows_differing_only_in_durations_match_once_times_are_stripped() {
+        // The table with every " - <time>" removed, as a timing-free
+        // comparison of two runs sees it.
+        let strip_times = |t: &CoverageTable| -> String {
+            t.to_string()
+                .split(" - ")
+                .enumerate()
+                .map(|(i, part)| match i {
+                    0 => part,
+                    _ => part.trim_start_matches(|c: char| c != ' ' && c != '\n'),
+                })
+                .collect()
+        };
+        let mut fast = row("Circuit 3 (arbiter)", "gnt0", 50.0);
+        fast.verify_time = Duration::from_nanos(150);
+        fast.coverage_time = Duration::from_micros(1_100);
+        let mut slow = fast.clone();
+        slow.verify_time = Duration::from_secs(59);
+        slow.coverage_time = Duration::from_millis(1_500);
+        let (mut a, mut b) = (CoverageTable::new(), CoverageTable::new());
+        a.push(fast);
+        b.push(slow);
+        assert_ne!(a.to_string(), b.to_string(), "the times must differ");
+        assert_eq!(strip_times(&a), strip_times(&b));
     }
 
     #[test]

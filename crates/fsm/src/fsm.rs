@@ -13,7 +13,7 @@
 //! collection and dynamic reordering. No root enumeration exists anymore;
 //! there is nothing to enumerate.
 
-use covest_bdd::{BddManager, Func, VarId};
+use covest_bdd::{BddManager, Func, VarId, VarMap};
 
 use crate::error::BuildFsmError;
 use crate::image::{ImageConfig, ImageEngine};
@@ -54,6 +54,11 @@ pub struct SymbolicFsm {
     pub(crate) trans_parts: Vec<Func>,
     pub(crate) engine: ImageEngine,
     pub(crate) signals: SignalTable,
+    /// [`SymbolicFsm::cur_to_next`] as a map built once, so every
+    /// preimage's renaming reuses the memo entries of the ones before.
+    pub(crate) to_next: VarMap,
+    /// [`SymbolicFsm::next_to_cur`] as a map built once (images).
+    pub(crate) to_cur: VarMap,
 }
 
 impl SymbolicFsm {
@@ -176,13 +181,13 @@ impl SymbolicFsm {
     /// All states reachable in **exactly one step** from `set`
     /// (the paper's `forward(S0)`), as a BDD over current variables.
     pub fn image(&self, set: &Func) -> Func {
-        self.engine.forward(set).rename(&self.next_to_cur())
+        self.engine.forward(set).rename_with(&self.to_cur)
     }
 
     /// All states with **some** successor in `set` under **some** input
     /// (existential preimage, the `EX` operation).
     pub fn preimage(&self, set: &Func) -> Func {
-        let set_next = set.rename(&self.cur_to_next());
+        let set_next = set.rename_with(&self.to_next);
         self.engine.backward(&set_next)
     }
 
@@ -474,7 +479,15 @@ impl FsmBuilder {
             &self.state_bits.iter().map(|b| b.next).collect::<Vec<_>>(),
             self.image_config,
         );
+        let cur_next: Vec<(VarId, VarId)> = self
+            .state_bits
+            .iter()
+            .map(|b| (b.current, b.next))
+            .collect();
+        let next_cur: Vec<(VarId, VarId)> = cur_next.iter().map(|&(c, n)| (n, c)).collect();
         let fsm = SymbolicFsm {
+            to_next: self.mgr.var_map(&cur_next),
+            to_cur: self.mgr.var_map(&next_cur),
             name: self.name,
             mgr: self.mgr,
             state_bits: self.state_bits,

@@ -159,7 +159,9 @@ impl ImageConfig {
 /// backward keeping inputs — the trace-replay variant), and a lazily
 /// built monolithic `T` for [`ImageMethod::Monolithic`]. All BDD state is
 /// owned [`Func`] handles: the engine keeps itself alive across
-/// collection and reordering, and the schedules hold only variable ids.
+/// collection and reordering. The schedules' variable sets are
+/// registered on the manager, so every image hits the
+/// relational-product memo entries of the images before it.
 #[derive(Debug, Clone)]
 pub struct ImageEngine {
     config: ImageConfig,

@@ -108,7 +108,7 @@ impl SymbolicFsm {
             // justifying the transition: ∃next. T ∧ next(state), computed
             // through the image engine so replay never forces the
             // monolithic T to exist, then restricted to the ring.
-            let state_next = state_cube.rename(&self.cur_to_next());
+            let state_next = state_cube.rename_with(&self.to_next);
             let preds = self.engine.backward_with_inputs(&state_next);
             let step = preds.and(ring);
             // Choose one (state, input) pair.
