@@ -5,7 +5,8 @@
 //!   parity is cross-checked bit for bit, the phase attribution is
 //!   collected from a profiled run, and the *overhead gate* holds
 //!   unconditionally: at `jobs = 1` the pool may cost at most 15% over
-//!   the sequential estimator (threads can't help at one job, so the
+//!   the sequential estimator ([`covest_bench::oracle`], the test-only
+//!   oracle no production path runs; threads can't help at one job, so the
 //!   pool must at least not hurt — this gate cannot silently pass on a
 //!   1-core CI runner the way a speedup gate would);
 //! - a **sized fleet** (the `gen-models --size` scaling decks at several
@@ -25,8 +26,9 @@
 use std::fmt::Write as _;
 
 use covest_bdd::BddManager;
-use covest_par::{run_batch, run_sequential, BatchReport, DeckJob, ParConfig};
+use covest_par::{run_batch, BatchReport, DeckJob, ParConfig};
 
+use covest_bench::oracle::run_sequential;
 use covest_bench::{bundled_fleet as fleet, with_specs};
 
 /// The scaling fleet: the `gen-models --size` decks (sized counters and

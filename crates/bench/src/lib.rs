@@ -7,6 +7,7 @@
 
 pub mod corebench;
 pub mod oldcore;
+pub mod oracle;
 
 use covest_bdd::BddManager;
 use covest_circuits::{circular_queue, counter, pipeline, priority_buffer};

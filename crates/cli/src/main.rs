@@ -24,15 +24,15 @@
 //! - `--dot FILE` dumps the reachable-state BDD in Graphviz format;
 //! - `--reorder`, `--image`, `--simplify` select the engine modes (all
 //!   combinations produce bit-identical results; see `README.md`);
-//! - `--coi on|off` (default on) controls whether parallel workers
-//!   compile each signal's statically pruned cone-of-influence deck or
-//!   the full deck; reports are bit-identical either way — the coverage
-//!   universe is the signal's cone in both modes;
-//! - `--jobs N` analyzes the observed signals **in parallel** on `N`
-//!   worker threads (`0` = one per core), each with its own BDD manager;
-//!   coverage percentages, verdicts and uncovered states are
-//!   bit-identical to the sequential run (node counts and timings in the
-//!   table legitimately differ — per-shard managers vs one shared one);
+//! - `--coi on|off` (default on) controls whether the coverage shards
+//!   compile each signal group's statically pruned cone-of-influence
+//!   deck or the full deck; reports are bit-identical either way — the
+//!   coverage universe is the signal's cone in both modes — except for
+//!   the table's node counts;
+//! - `--jobs N` runs the coverage shards on `N` worker threads (`0` =
+//!   one per core, default 1), each shard on its own BDD manager; the
+//!   output, node counts included, is byte-identical at every `N` (only
+//!   the table's times differ);
 //! - `--json FILE` additionally writes the coverage table — rows plus
 //!   per-property verdicts and the canonical uncovered-state sample — as
 //!   machine-readable JSON;
@@ -58,14 +58,16 @@
 //!   has stopped changing (same size and support for many iterations)
 //!   together with a snapshot of the open spans.
 //!
-//! With `--stats`/`--trace`, coverage always routes through the worker
-//! pool (even at `--jobs 1`): per-shard fresh managers make every
-//! shard's counters a pure function of (deck source, config), which is
-//! what makes the summary's counter section parity-checkable. The
-//! summary also carries each shard's **peak-live-by-phase** table — the
-//! fold of the memory samples stamped on every span open/close and BFS
-//! step — whose maximum reconciles exactly with the shard's
-//! `bdd_peak_live_nodes` counter.
+//! Coverage always runs the same way: the deck is planned into
+//! cone-disjoint shards, and the shards run on the worker pool, at every
+//! `--jobs` value and with or without `--stats`/`--trace`/`--progress`,
+//! so observing a run never changes what it prints. Per-shard fresh
+//! managers make every shard's counters a pure function of (deck source,
+//! config), which is what makes the summary's counter section
+//! parity-checkable. The summary also carries each shard's
+//! **peak-live-by-phase** table — the fold of the memory samples stamped
+//! on every span open/close and BFS step — whose maximum reconciles
+//! exactly with the shard's `bdd_peak_live_nodes` counter.
 //!
 //! `batch` runs a *fleet* of decks: `JOBLIST` names one deck per line
 //! (`PATH [SIGNAL ...]`, `#` comments; relative paths resolve against
@@ -87,7 +89,7 @@ use std::time::Duration;
 
 use covest_analyze::{cone_bit_names, lint_source, task_cone, DepGraph};
 use covest_bdd::{BddManager, ReorderConfig, ReorderMode};
-use covest_core::{json_string, CoverageEstimator, CoverageOptions, CoverageTable, ReportRow};
+use covest_core::{json_string, CoverageEstimator, CoverageTable, ReportRow};
 use covest_mc::{ModelChecker, Verdict};
 use covest_par::{run_batch, run_batch_with_trace, BatchReport, DeckJob, ParConfig, ShardProfile};
 use covest_smv::{ImageConfig, ImageMethod, SimplifyConfig};
@@ -129,7 +131,7 @@ impl Default for EngineArgs {
 
 impl EngineArgs {
     /// `true` when either observability flag asks for a recorder — and
-    /// therefore for per-shard profiling and pooled coverage.
+    /// therefore for per-shard profiling.
     fn profiling(&self) -> bool {
         self.stats || self.trace.is_some()
     }
@@ -185,13 +187,13 @@ fn usage() -> ! {
          \u{20}                    frontiers, iterates and clusters (default)\n\
          --simplify constrain  stronger generalized-cofactor simplification\n\
          --simplify off        no don't-care simplification\n\
-         --coi on        parallel workers compile each signal's statically\n\
-         \u{20}               pruned cone deck (default; reports are\n\
-         \u{20}               bit-identical to --coi off)\n\
-         --coi off       workers compile the full deck and project onto\n\
+         --coi on        coverage shards compile each signal group's\n\
+         \u{20}               statically pruned cone deck (default; reports\n\
+         \u{20}               match --coi off except for node counts)\n\
+         --coi off       shards compile the full deck and project onto\n\
          \u{20}               the cone afterwards\n\
-         --jobs N        analyze observed signals on N worker threads\n\
-         \u{20}               (0 = one per core; default 1 = sequential)\n\
+         --jobs N        run the coverage shards on N worker threads\n\
+         \u{20}               (0 = one per core; default 1)\n\
          --json FILE     write the coverage table (rows, verdicts,\n\
          \u{20}               uncovered sample) as JSON\n\
          --stats         print the engine-counter summary (deterministic\n\
@@ -411,10 +413,8 @@ fn run_lint(args: &LintArgs) -> ExitCode {
     }
 }
 
-/// Prints the per-signal coverage block exactly as the sequential path
-/// always did: vacuity warnings, then — below 100% — the canonical
-/// uncovered-state listing. Shared by the sequential and `--jobs` paths,
-/// so their output is byte-identical by construction.
+/// Prints the per-signal coverage block: vacuity warnings, then — below
+/// 100% — the canonical uncovered-state listing.
 fn print_signal_block(row: &ReportRow) {
     for v in &row.verdicts {
         if v.vacuous {
@@ -432,9 +432,8 @@ fn print_signal_block(row: &ReportRow) {
     }
 }
 
-/// How many uncovered states each report samples. One constant feeds
-/// both the sequential path and the worker pool's `uncovered_limit`:
-/// the `--jobs` byte-parity contract depends on the two paths agreeing.
+/// How many uncovered states each report samples (the pool's
+/// `uncovered_limit`).
 const UNCOVERED_SAMPLE_LIMIT: usize = 10;
 
 fn par_config(engine: &EngineArgs) -> ParConfig {
@@ -568,8 +567,8 @@ fn profile_label(p: &ShardProfile) -> String {
 
 /// Uninstalls the recorder installed for `--stats`/`--trace` (plus the
 /// front-end memory sampler and progress channel) and folds its output
-/// together with the per-shard profiles of `report` (when the run went
-/// through the worker pool) and the front-end manager's engine counters
+/// together with the per-shard profiles of `report` (when coverage or a
+/// batch ran) and the front-end manager's engine counters
 /// (when one survives the run, i.e. `check`).
 ///
 /// The counter sections — the front-end counters and every per-shard
@@ -818,65 +817,18 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         all_passed &= verdict.holds();
     }
 
-    // Coverage: sequentially on this manager, or sharded across the
-    // worker pool with `--jobs N` — cone-disjoint signal groups each
-    // compile one private manager, and idle workers steal whole shards.
-    // Same output either way (the table's node counts honestly reflect
-    // per-shard managers in the parallel case).
+    // Coverage: planned into cone-disjoint shards and run on the worker
+    // pool at every `--jobs` value — each shard compiles one private
+    // manager, and idle workers steal whole shards. Traces to uncovered
+    // states replay on this manager.
     let mut table_out: Option<CoverageTable> = None;
     let mut pool_report: Option<BatchReport> = None;
     if args.coverage {
-        let signals: Vec<String> = if args.observed.is_empty() {
-            model.observed.clone()
-        } else {
-            args.observed.clone()
-        };
-        if signals.is_empty() {
+        if args.observed.is_empty() && model.observed.is_empty() {
             eprintln!("warning: no OBSERVED signals; use --observed");
-        }
-        let estimator = CoverageEstimator::new(&model.fsm);
-        let graph = DepGraph::new(&module);
-        let mut table = CoverageTable::new();
-        // Profiling routes coverage through the worker pool at every
-        // `--jobs` value: per-shard fresh managers make each shard's
-        // counters a pure function of (deck source, config), so the
-        // summary's counter section is `--jobs`-independent — stealing
-        // included.
-        let sequential = signals.is_empty()
-            || (!args.engine.profiling() && (args.engine.jobs == 1 || signals.len() <= 1));
-        if sequential {
-            // The counting/sampling universe of a deck analysis is the
-            // signal's static cone — the same universe the worker pool
-            // uses, so sequential and `--jobs` output stay byte-identical.
-            for signal in &signals {
-                let cone = task_cone(&module, &graph, signal)?;
-                let options = CoverageOptions {
-                    fairness: model.fairness.clone(),
-                    cone: Some(cone_bit_names(&module, &cone)),
-                    ..Default::default()
-                };
-                let analysis = estimator.analyze(signal, &model.specs, &options)?;
-                let universe = estimator.universe(options.cone.as_deref());
-                let sample = estimator.sample_states_over(
-                    &analysis.uncovered(),
-                    &universe,
-                    UNCOVERED_SAMPLE_LIMIT,
-                );
-                let row = ReportRow::from_analysis(&args.model_path, &analysis)
-                    .with_uncovered_sample(sample);
-                print_signal_block(&row);
-                if row.percent < 100.0 {
-                    for trace in estimator.traces_to_states_over(
-                        &analysis.uncovered(),
-                        &universe,
-                        args.traces,
-                    ) {
-                        println!("trace to uncovered state:\n{trace}");
-                    }
-                }
-                table.push(row);
-            }
         } else {
+            let estimator = CoverageEstimator::new(&model.fsm);
+            let graph = DepGraph::new(&module);
             let jobs = vec![DeckJob {
                 name: args.model_path.clone(),
                 source: src.clone(),
@@ -901,10 +853,12 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
                         println!("trace to uncovered state:\n{trace}");
                     }
                 }
-                table.push(outcome.row.clone());
             }
             pool_report = Some(report);
         }
+        let table = pool_report
+            .as_ref()
+            .map_or_else(CoverageTable::new, BatchReport::table);
         println!("\n{table}");
         table_out = Some(table);
     }

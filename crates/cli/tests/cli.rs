@@ -165,44 +165,144 @@ fn check_stdout(deck: &str, extra: &[&str]) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
+/// Drops every ` - <time>` cell of the coverage table: the only
+/// wall-clock bytes in `check`'s stdout before the `--stats` summary. A
+/// fast host prints every time in µs, so no unit is assumed.
+fn strip_times(stdout: &str) -> String {
+    stdout
+        .lines()
+        .map(|l| {
+            let mut parts = l.split(" - ");
+            let mut kept = parts.next().unwrap_or_default().to_owned();
+            for part in parts {
+                kept.push_str(part.trim_start_matches(|c: char| c != ' '));
+            }
+            kept
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// The table rows of `check`'s stdout (the lines with the " - "
+/// separator, less the "BDDs - time" header), times stripped.
+fn table_rows(stdout: &str) -> Vec<String> {
+    stdout
+        .lines()
+        .filter(|l| l.contains(" - ") && !l.contains("BDDs - "))
+        .map(strip_times)
+        .collect()
+}
+
 /// `--jobs N` must not change a single observable byte outside the
-/// table's node-count/time columns: verification lines, vacuity
-/// warnings, uncovered-state listings and the table's circuit / signal /
-/// #prop / %COV columns are all byte-identical to the sequential run.
+/// table's time columns: verification lines, vacuity warnings,
+/// uncovered-state listings and the table's circuit / signal / #prop /
+/// %COV and node-count columns are all byte-identical to the
+/// single-worker run. Both run on per-shard managers, so even the node
+/// counts agree.
 #[test]
 fn parallel_check_output_matches_sequential() {
     let seq = check_stdout("models/priority_buffer.smv", &["--coverage"]);
     let par = check_stdout("models/priority_buffer.smv", &["--coverage", "--jobs", "4"]);
+    assert_eq!(table_rows(&seq).len(), 2, "two signals expected:\n{seq}");
+    assert_eq!(strip_times(&seq), strip_times(&par), "output must match");
+}
 
-    // Everything except table header/rows (the only lines with " - ").
-    let stable = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| !l.contains(" - "))
-            .map(str::to_owned)
-            .collect()
+/// The observer effect: `--stats`, `--trace FILE` and `--progress` must
+/// not change what `check` prints, node columns included, on any bundled
+/// deck at `--jobs 1` or `--jobs 4`. Compared: stdout without its
+/// ` - <time>` cells, the `--stats` summary, the `wrote PATH` lines and
+/// trailing blank lines.
+#[test]
+fn observability_flags_do_not_change_check_output() {
+    let stable = |stdout: &str| -> String {
+        let body = stdout
+            .lines()
+            .take_while(|l| *l != "stats:")
+            .filter(|l| !l.starts_with("wrote "))
+            .collect::<Vec<_>>()
+            .join("\n");
+        strip_times(body.trim_end()).trim_end().to_owned()
     };
-    assert_eq!(stable(&seq), stable(&par), "non-table output must match");
+    let mut decks: Vec<String> = std::fs::read_dir(repo_root().join("models"))
+        .expect("models directory")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "smv"))
+        .map(|p| format!("models/{}", p.file_name().unwrap().to_string_lossy()))
+        .collect();
+    decks.sort();
+    assert!(!decks.is_empty());
+    for deck in &decks {
+        let plain = stable(&check_stdout(deck, &["--coverage", "--traces", "1"]));
+        assert!(plain.contains("%COV"), "{deck}: no table:\n{plain}");
+        for jobs in ["1", "4"] {
+            let trace = std::env::temp_dir().join(format!(
+                "covest-observer-{}-{jobs}.jsonl",
+                deck.replace('/', "_")
+            ));
+            let trace_arg = trace.to_str().unwrap().to_owned();
+            let variants: [&[&str]; 4] =
+                [&[], &["--stats"], &["--trace", &trace_arg], &["--progress"]];
+            for extra in variants {
+                let mut argv = vec!["--coverage", "--traces", "1", "--jobs", jobs];
+                argv.extend_from_slice(extra);
+                let got = stable(&check_stdout(deck, &argv));
+                assert_eq!(plain, got, "{deck} {argv:?} changed the output");
+            }
+            let _ = std::fs::remove_file(&trace);
+        }
+    }
+}
 
-    // Table rows: the lines with the " - " separator, less the "BDDs -
-    // time" header (not the lines with "ms": a fast host prints every
-    // time in µs). Columns up to %COV (the 7th token from the right
-    // starts the node/time columns) must match row by row.
-    let row_keys = |s: &str| -> Vec<Vec<String>> {
-        s.lines()
-            .filter(|l| l.contains(" - ") && !l.contains("BDDs - "))
-            .map(|l| {
-                let tokens: Vec<&str> = l.split_whitespace().collect();
-                assert!(tokens.len() >= 7, "unexpected table row: {l}");
-                tokens[..tokens.len() - 6]
+/// An unknown `--observed` signal fails the same way at every `--jobs`
+/// value and under `--stats`: exit code 1 and byte-identical stderr.
+#[test]
+fn unknown_observed_signal_fails_the_same_everywhere() {
+    let run = |extra: &[&str]| -> (Option<i32>, String) {
+        let out = covest()
+            .arg("check")
+            .arg(repo_root().join("models/counter.smv"))
+            .args(["--coverage", "--observed", "nope"])
+            .args(extra)
+            .output()
+            .expect("runs");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let one = run(&["--jobs", "1"]);
+    assert_eq!(one.0, Some(1), "{}", one.1);
+    assert!(one.1.contains("nope"), "{}", one.1);
+    assert_eq!(run(&["--jobs", "4"]), one, "--jobs 4");
+    assert_eq!(run(&["--stats"]), one, "--stats");
+}
+
+/// `--coi off` is honored at `--jobs 1`: the full-deck shard builds
+/// larger BDDs than the pruned cone deck on the priority buffer, while
+/// every other column stays the same.
+#[test]
+fn coi_off_changes_node_columns_at_one_job() {
+    let on = check_stdout("models/priority_buffer.smv", &["--coverage", "--jobs", "1"]);
+    let off = check_stdout(
+        "models/priority_buffer.smv",
+        &["--coverage", "--jobs", "1", "--coi", "off"],
+    );
+    let (on_rows, off_rows) = (table_rows(&on), table_rows(&off));
+    assert_eq!(on_rows.len(), 2, "two signals expected:\n{on}");
+    assert_ne!(on_rows, off_rows, "--coi off must change the node columns");
+    // Identity and %COV columns: all but the two node counts.
+    let identity = |rows: &[String]| -> Vec<Vec<String>> {
+        rows.iter()
+            .map(|r| {
+                let tokens: Vec<&str> = r.split_whitespace().collect();
+                tokens[..tokens.len() - 2]
                     .iter()
                     .map(|t| t.to_string())
                     .collect()
             })
             .collect()
     };
-    let (seq_rows, par_rows) = (row_keys(&seq), row_keys(&par));
-    assert_eq!(seq_rows.len(), 2, "two signals expected:\n{seq}");
-    assert_eq!(seq_rows, par_rows, "identity columns must match");
+    assert_eq!(identity(&on_rows), identity(&off_rows));
 }
 
 #[test]

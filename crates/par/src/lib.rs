@@ -1,17 +1,16 @@
 //! # covest-par
 //!
-//! The parallel coverage engine: run the DAC'99 estimator's per-signal
-//! analyses **concurrently**, across one deck or a whole fleet of decks,
-//! under a single thread budget — with results bit-identical to the
-//! sequential estimator.
+//! The coverage engine: run the DAC'99 estimator's per-signal analyses
+//! **concurrently**, across one deck or a whole fleet of decks, under a
+//! single thread budget. Every coverage row `covest check --coverage`
+//! and `covest batch` print comes from here, at every `--jobs` value.
 //!
 //! The paper's workflow (Table 2 / Section 4) runs one coverage analysis
 //! per observed signal, and each analysis is independent once the model
-//! is compiled. The sequential pipeline nevertheless runs them one after
-//! another inside a single [`covest_bdd::BddManager`] — which is an
-//! `Rc<RefCell<…>>` handle and deliberately not `Send`, so the engine
-//! cannot simply share it across threads. This crate supplies the three
-//! pieces that turn signal independence into wall-clock speedup:
+//! is compiled. A [`covest_bdd::BddManager`] is an `Rc<RefCell<…>>`
+//! handle and deliberately not `Send`, so the analyses cannot share one
+//! manager across threads. This crate supplies the three pieces that
+//! turn signal independence into wall-clock speedup:
 //!
 //! - **[`WorkPlan`]** — decompose decks × observed signals into
 //!   per-signal tasks and cone-disjoint **shards**. Planning is purely
@@ -24,24 +23,21 @@
 //!   static cone weights); an idle worker **steals whole shards** —
 //!   never individual signals — from its peers, so every shard still
 //!   executes its signals in declaration order on one fresh private
-//!   manager, wherever it lands. A worthiness heuristic in
-//!   [`run_batch`] routes fleets too small to amortize the pool
-//!   straight to [`run_sequential`].
+//!   manager, wherever it lands.
 //! - **Deterministic merge** ([`BatchReport`]) — results are assembled
 //!   by task index: decks in input order, signals in declaration order,
 //!   byte-identical reports regardless of scheduling, stealing or
 //!   `jobs`.
 //!
-//! [`run_batch`] is the one-call front door (`covest check --jobs N`,
-//! `covest batch`); [`run_sequential`] is the pre-parallel baseline the
-//! bench and parity suites compare against. The contract — enforced by
-//! `tests/parity.rs` across the full image × simplify × reorder mode
-//! cross, and under forced stealing — is that parallelism is *pure
-//! mechanism*: coverage percentages, per-property verdicts and
-//! uncovered-state sets are bit-identical to the sequential estimator's;
-//! only node counts and timings (per-shard managers vs one shared
-//! manager) may differ between the pool and the baseline, and even
-//! those are identical across `jobs` values.
+//! [`run_batch`] is the one-call front door: it always plans, then runs
+//! the shards. The contract — enforced by `tests/parity.rs` against the
+//! sequential estimator kept as a test-only oracle in `covest-bench`,
+//! across the full image × simplify × reorder mode cross and under
+//! forced stealing — is that sharding is *pure mechanism*: coverage
+//! percentages, per-property verdicts and uncovered-state sets are
+//! bit-identical to that estimator's. Node counts and timings (per-shard
+//! managers vs one shared manager) differ from the oracle's, but are
+//! identical across `jobs` values.
 //!
 //! # Example
 //!
@@ -69,6 +65,6 @@ mod shard;
 
 pub use plan::{DeckJob, ParConfig, WorkPlan};
 pub use pool::{
-    run_batch, run_batch_with_trace, run_sequential, BatchReport, DeckReport, ParError, SchedStats,
-    ShardProfile, SignalOutcome,
+    run_batch, run_batch_with_trace, BatchReport, DeckReport, ParError, SchedStats, ShardProfile,
+    SignalOutcome,
 };

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use covest_analyze::{cone_bit_names, reduce_module_multi, task_cone, DepGraph};
-use covest_smv::{decl_bit_names, ImageConfig};
+use covest_smv::ImageConfig;
 
 use crate::pool::ParError;
 use crate::shard::Shard;
@@ -70,9 +70,8 @@ pub struct ParConfig {
     /// default; the counters are a pure function of (deck source,
     /// config), so they are byte-identical across `jobs` values, while
     /// the durations (and the stolen flag) are wall-clock scheduling
-    /// facts and excluded from parity. Profiling also forces the pool:
-    /// [`crate::run_batch`] never routes a profiled fleet to the
-    /// sequential baseline, which collects no profiles.
+    /// facts and excluded from parity. Profiling changes no report byte:
+    /// profiled and unprofiled runs execute the same shards.
     pub profile: bool,
     /// Cone-of-influence reduction (`true`, the default): each shard
     /// compiles the statically pruned union-cone deck of its member
@@ -85,9 +84,8 @@ pub struct ParConfig {
     /// "Static deck analysis & cone-of-influence".
     pub coi: bool,
     /// Emit the throttled stderr progress heartbeat (and arm the
-    /// fixpoint watchdog) on every shard and on the sequential
-    /// baseline. Pure stderr observability — never reaches a report
-    /// byte. See [`covest_telemetry::progress`].
+    /// fixpoint watchdog) on every shard. Pure stderr observability —
+    /// never reaches a report byte. See [`covest_telemetry::progress`].
     pub progress: bool,
     /// The clock stamping profile spans, queue waits, and the progress
     /// throttle. `None` (the default) means a fresh
@@ -218,13 +216,11 @@ fn plan_deck(
 
     let (kinds, shards) = if signals.is_empty() {
         // Verification-only deck: one shard over the full machine.
-        let est_bits = module.vars.iter().flat_map(decl_bit_names).count();
         let shard = Shard {
             deck: 0,
             module: Arc::new(module),
             tasks: vec![0],
             weight: usize::MAX,
-            est_bits,
         };
         (vec![TaskKind::VerifyOnly], vec![shard])
     } else {
@@ -303,7 +299,6 @@ fn plan_deck(
                     module,
                     tasks: members,
                     weight,
-                    est_bits: weight,
                 }
             })
             .collect();
@@ -405,14 +400,5 @@ impl WorkPlan {
             .iter()
             .filter(|t| matches!(t.kind, TaskKind::Coverage { .. }))
             .count()
-    }
-
-    /// The fleet's total worthiness estimate in state bits — the input
-    /// to [`crate::run_batch`]'s pool-vs-sequential routing heuristic.
-    pub(crate) fn fleet_est_bits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.est_bits)
-            .fold(0usize, usize::saturating_add)
     }
 }

@@ -20,21 +20,12 @@
 
 use std::time::Duration;
 
-use covest_bdd::{BddDump, BddManager, ReorderConfig, ReorderMode};
-use covest_core::{CoverageEstimator, CoverageOptions, CoverageTable, PropertyVerdict, ReportRow};
-use covest_mc::ModelChecker;
+use covest_bdd::BddDump;
+use covest_core::{CoverageTable, PropertyVerdict, ReportRow};
 use covest_telemetry::{Counters, SpanRecord};
 
 use crate::plan::{DeckJob, ParConfig, PlannedDeck, Task, TaskKind, WorkPlan};
 use crate::shard::{run_pool, Shard, ShardResult};
-
-/// Minimum fleet size — total static shard estimate, in state bits —
-/// that justifies spinning up the pool. Below it [`run_batch`] routes to
-/// [`run_sequential`]: a fleet of toy decks finishes before the pool's
-/// thread setup pays for itself. The decision is a pure function of the
-/// plan (never of `jobs` or core count), so a fleet routes the same way
-/// at every `--jobs` value and reports stay byte-identical.
-const MIN_POOL_BITS: usize = 16;
 
 /// Errors from planning or running a parallel batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,12 +173,10 @@ pub struct DeckReport {
     /// Per-signal outcomes, in declaration order.
     pub signals: Vec<SignalOutcome>,
     /// Wall-clock the planner spent statically analyzing this deck
-    /// (parse + cones + shard construction); zero on the sequential
-    /// baseline, which does not plan.
+    /// (parse + cones + shard construction).
     pub plan_time: Duration,
     /// Per-shard profiles in shard order — empty unless
-    /// [`ParConfig::profile`] is set (the sequential baseline never
-    /// profiles).
+    /// [`ParConfig::profile`] is set.
     pub profiles: Vec<ShardProfile>,
 }
 
@@ -204,16 +193,14 @@ impl DeckReport {
 /// surface (it is excluded from all parity contracts).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedStats {
-    /// Worker threads actually spawned (0 when routed sequential).
+    /// Worker threads actually spawned: `jobs` (or the core count),
+    /// capped at the shard count, never less than one.
     pub workers: usize,
     /// Shards in the plan.
     pub shards: usize,
     /// Shards executed by a worker other than the one they were dealt
     /// to.
     pub steals: usize,
-    /// `true` if [`run_batch`]'s worthiness heuristic sent the fleet to
-    /// [`run_sequential`] instead of the pool.
-    pub routed_sequential: bool,
 }
 
 /// The deterministic merge of a whole batch: decks in input order,
@@ -259,10 +246,8 @@ impl WorkPlan {
     /// deque each, whole-shard stealing) and merges the results
     /// deterministically: decks in input order, signals in declaration
     /// order, whatever order shards completed in — and on whichever
-    /// worker.
-    ///
-    /// Unlike [`run_batch`], this never routes to the sequential
-    /// baseline: callers who built a plan get the pool.
+    /// worker. This is the only way coverage runs: [`run_batch`] is
+    /// [`WorkPlan::plan`] followed by this call.
     ///
     /// # Errors
     ///
@@ -299,7 +284,6 @@ impl WorkPlan {
             workers,
             shards: self.shards.len(),
             steals,
-            routed_sequential: false,
         };
         Ok(report)
     }
@@ -405,194 +389,25 @@ fn merge_shard_results(
 }
 
 /// Plans and runs a batch in one call — the front door used by
-/// `covest check --jobs N` and `covest batch`.
-///
+/// `covest check --coverage` and `covest batch`: [`WorkPlan::plan`],
+/// then [`WorkPlan::run`], for every fleet and every `jobs` value.
 /// Planning is static (parse + cones, no BDDs) and cheap, so it always
 /// completes before execution; a plan failure therefore takes precedence
-/// over every shard outcome. After planning, a **worthiness heuristic**
-/// routes the fleet: if it decomposes into a single shard, or its total
-/// static size estimate is under a small threshold, the pool cannot win
-/// and the batch runs on [`run_sequential`] instead (reported via
-/// [`SchedStats::routed_sequential`]). The decision is a pure function
-/// of the plan — never of `jobs` — so a given fleet produces
-/// byte-identical reports at every `--jobs` value. Profiled runs
-/// ([`ParConfig::profile`]) always take the pool, which is what collects
-/// [`ShardProfile`]s.
+/// over every shard outcome.
 ///
 /// # Errors
 ///
 /// See [`WorkPlan::plan`] and [`WorkPlan::run`].
 pub fn run_batch(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchReport, ParError> {
-    run_batch_inner(jobs, config, None)
+    WorkPlan::plan(jobs, config)?.run(config)
 }
 
 /// [`run_batch`] with a streaming trace sink — see
-/// [`WorkPlan::run_with_trace`]. Profiled fleets always take the pool,
-/// so every shard's forest streams; a fleet routed to the sequential
-/// baseline (only possible unprofiled) records nothing and leaves the
-/// sink untouched.
+/// [`WorkPlan::run_with_trace`].
 pub fn run_batch_with_trace(
     jobs: &[DeckJob],
     config: &ParConfig,
     sink: &mut dyn covest_telemetry::chrome::TraceSink,
 ) -> Result<BatchReport, ParError> {
-    run_batch_inner(jobs, config, Some(sink))
-}
-
-fn run_batch_inner(
-    jobs: &[DeckJob],
-    config: &ParConfig,
-    sink: Option<&mut dyn covest_telemetry::chrome::TraceSink>,
-) -> Result<BatchReport, ParError> {
-    let plan = WorkPlan::plan(jobs, config)?;
-    if !config.profile && (plan.num_shards() <= 1 || plan.fleet_est_bits() < MIN_POOL_BITS) {
-        let mut report = run_sequential(jobs, config)?;
-        report.sched = SchedStats {
-            workers: 0,
-            shards: plan.num_shards(),
-            steals: 0,
-            routed_sequential: true,
-        };
-        return Ok(report);
-    }
-    plan.run_inner(config, sink)
-}
-
-/// The sequential baseline: the same decks analyzed the way the
-/// pre-parallel pipeline did — one manager per deck, one compile, one
-/// reachability fixpoint shared by all of the deck's signals. Used by
-/// the `parallel_report` bench (wall-clock comparison), the parity suite
-/// (ground truth), and [`run_batch`]'s worthiness routing for fleets too
-/// small to amortize the pool: percentages, verdicts and uncovered sets
-/// must be bit-identical to [`WorkPlan::run`]'s. Node counts and timings
-/// differ by construction (shared whole-deck manager vs per-shard
-/// cone-reduced managers).
-///
-/// # Errors
-///
-/// [`ParError::Plan`] / [`ParError::Task`] mirroring the parallel path.
-pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchReport, ParError> {
-    /// Uninstalls the progress channel on every exit path (the `?`s
-    /// below would otherwise leave it on the caller's thread).
-    struct ProgressGuard(bool);
-    impl Drop for ProgressGuard {
-        fn drop(&mut self) {
-            if self.0 {
-                covest_telemetry::progress::uninstall_progress();
-            }
-        }
-    }
-    let mut reports = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let _progress = ProgressGuard(config.progress);
-        if config.progress {
-            covest_telemetry::progress::install_progress(
-                covest_telemetry::progress::Progress::stderr(
-                    config.batch_clock(),
-                    job.name.clone(),
-                ),
-            );
-        }
-        let bdd = BddManager::new();
-        bdd.set_reorder_config(ReorderConfig {
-            mode: config.reorder,
-            ..Default::default()
-        });
-        let model = covest_smv::compile_with(&bdd, &job.source, config.image).map_err(|e| {
-            ParError::Plan {
-                deck: job.name.clone(),
-                message: e.to_string(),
-            }
-        })?;
-        if config.reorder == ReorderMode::Sift {
-            bdd.reduce_heap();
-        }
-        let signals = if job.observed.is_empty() {
-            model.observed.clone()
-        } else {
-            job.observed.clone()
-        };
-        let task_err = |signal: Option<&String>, message: String| ParError::Task {
-            deck: job.name.clone(),
-            signal: signal.cloned(),
-            message,
-        };
-        let mut report = DeckReport {
-            name: job.name.clone(),
-            num_properties: model.specs.len(),
-            verdicts: Vec::new(),
-            signals: Vec::new(),
-            plan_time: Duration::ZERO,
-            profiles: Vec::new(),
-        };
-        if signals.is_empty() {
-            let mut mc = ModelChecker::new(&model.fsm);
-            for fair in &model.fairness {
-                mc.add_fairness(fair)
-                    .map_err(|e| task_err(None, e.to_string()))?;
-            }
-            if config.image.simplify != covest_smv::SimplifyConfig::Off {
-                mc.set_care(model.fsm.install_reachable_care());
-            }
-            for spec in &model.specs {
-                let verdict = mc
-                    .check(&spec.clone().into())
-                    .map_err(|e| task_err(None, e.to_string()))?;
-                report.verdicts.push(PropertyVerdict {
-                    formula: spec.to_string(),
-                    holds: verdict.holds(),
-                    vacuous: false,
-                });
-            }
-        } else {
-            let estimator = CoverageEstimator::new(&model.fsm);
-            // The baseline never compiles reduced decks, but the coverage
-            // universe is still the per-signal cone — deck semantics, not
-            // a COI-mode artifact — so it stays bit-comparable with the
-            // pool under either `coi` setting.
-            let module = covest_smv::parse_module(&job.source).map_err(|e| ParError::Plan {
-                deck: job.name.clone(),
-                message: e.to_string(),
-            })?;
-            let graph = covest_analyze::DepGraph::new(&module);
-            for signal in &signals {
-                let cone = covest_analyze::task_cone(&module, &graph, signal)
-                    .map_err(|message| task_err(Some(signal), message))?;
-                let options = CoverageOptions {
-                    fairness: model.fairness.clone(),
-                    cone: Some(covest_analyze::cone_bit_names(&module, &cone)),
-                    ..Default::default()
-                };
-                let analysis = estimator
-                    .analyze(signal, &model.specs, &options)
-                    .map_err(|e| task_err(Some(signal), e.to_string()))?;
-                let universe = estimator.universe(options.cone.as_deref());
-                let sample = estimator.sample_states_over(
-                    &analysis.uncovered(),
-                    &universe,
-                    config.uncovered_limit,
-                );
-                let uncovered = analysis
-                    .uncovered()
-                    .export_bdd()
-                    .map_err(|e| task_err(Some(signal), e.to_string()))?;
-                let row =
-                    ReportRow::from_analysis(&job.name, &analysis).with_uncovered_sample(sample);
-                if report.verdicts.is_empty() {
-                    report.verdicts = row.verdicts.clone();
-                }
-                report.signals.push(SignalOutcome {
-                    deck: job.name.clone(),
-                    signal: signal.clone(),
-                    row,
-                    uncovered,
-                });
-            }
-        }
-        reports.push(report);
-    }
-    Ok(BatchReport {
-        decks: reports,
-        sched: SchedStats::default(),
-    })
+    WorkPlan::plan(jobs, config)?.run_with_trace(config, sink)
 }

@@ -50,10 +50,6 @@ pub(crate) struct Shard {
     /// dispatched first). Largest-first dispatch keeps the slowest shard
     /// off the tail of an otherwise drained queue.
     pub weight: usize,
-    /// Worthiness estimate in state bits (verification-only shards count
-    /// the full deck width instead of `usize::MAX`); summed across a
-    /// fleet to decide pool-vs-sequential routing.
-    pub est_bits: usize,
 }
 
 /// Per-task outcome within a shard: the global task index plus the
@@ -190,7 +186,7 @@ fn run_shard_phases(
     // machine-wide prefix (reach + care install) is signal-independent,
     // so every member signal reuses it. Verification-only shards manage
     // their care set inside the solve phase instead (it is conditional
-    // on the simplify mode there, mirroring the sequential path).
+    // on the simplify mode there, as in `covest check`'s verification).
     let estimator = CoverageEstimator::new(&model.fsm);
     let has_coverage = shard
         .tasks

@@ -63,6 +63,14 @@ fn coi_modes_agree_on_every_deck() {
     )
     .expect("coi off");
     assert_semantic_parity("coi on vs off", &on, &off);
+    // The two modes must actually have run differently: a pruned cone
+    // deck builds smaller BDDs than the full deck somewhere.
+    assert!(
+        on.outcomes()
+            .zip(off.outcomes())
+            .any(|(a, b)| a.row.coverage_nodes != b.row.coverage_nodes),
+        "coi on and off built identical BDDs on every deck"
+    );
 }
 
 proptest! {

@@ -7,7 +7,8 @@
 //! verdicts, vacuity flags, state counts and uncovered-state **sets**
 //! (compared semantically, by importing both sides' name-keyed dumps
 //! into one manager where canonicity turns semantic equality into handle
-//! equality) identical to the sequential estimator. Separate tests pin
+//! equality) identical to the sequential estimator, the test-only
+//! oracle in `covest_bench::oracle`. Separate tests pin
 //! scheduling-independence: `jobs = 1` and `jobs = 4` (and a steal-storm
 //! `jobs = 8` case where work stealing provably occurs) must agree on
 //! every deterministic field, node counts and uncovered samples
@@ -18,7 +19,8 @@ mod common;
 
 use common::{all_decks, assert_semantic_parity};
 use covest_bdd::ReorderMode;
-use covest_par::{run_batch, run_sequential, DeckJob, ParConfig, WorkPlan};
+use covest_bench::oracle::run_sequential;
+use covest_par::{run_batch, DeckJob, ParConfig, WorkPlan};
 use covest_smv::{ImageConfig, ImageMethod, SimplifyConfig};
 
 fn config(image: ImageMethod, simplify: SimplifyConfig, reorder: ReorderMode) -> ParConfig {
@@ -114,10 +116,7 @@ fn report_bytes_survive_forced_stealing() {
     )
     .expect("jobs=1");
     let eight = run_batch(&decks, &ParConfig { jobs: 8, ..base }).expect("jobs=8");
-    assert!(
-        !one.sched.routed_sequential && !eight.sched.routed_sequential,
-        "the storm fleet must be pool-worthy"
-    );
+    assert_eq!(one.sched.workers, 1, "jobs=1 runs one worker");
     assert_eq!(one.sched.steals, 0, "one worker has nobody to steal from");
     assert!(
         eight.sched.steals > 0,
@@ -159,8 +158,8 @@ fn plan_shape_follows_signal_decomposition() {
     assert_eq!(report.decks[1].signals.len(), 2);
 }
 
-/// Worker errors surface deterministically: the failed task with the
-/// lowest task index wins, regardless of which worker hit it first.
+/// Unknown signals are rejected deterministically: the first unknown
+/// signal in declaration order is the one reported, at every `jobs`.
 #[test]
 fn unknown_signal_fails_deterministically() {
     let toggler =
@@ -176,11 +175,12 @@ fn unknown_signal_fails_deterministically() {
     };
     for _ in 0..4 {
         match run_batch(&decks, &cfg) {
-            Err(covest_par::ParError::Task { deck, signal, .. }) => {
+            Err(covest_par::ParError::Plan { deck, message }) => {
                 assert_eq!(deck, "bad");
-                assert_eq!(signal.as_deref(), Some("nope1"), "lowest task index wins");
+                assert!(message.contains("nope1"), "first signal wins: {message}");
+                assert!(!message.contains("nope2"), "first signal wins: {message}");
             }
-            other => panic!("expected a task error, got {other:?}"),
+            other => panic!("expected a plan error, got {other:?}"),
         }
     }
 }
