@@ -16,7 +16,13 @@
 //!
 //! `check` verifies every `SPEC` under the deck's `FAIRNESS` constraints
 //! and, with `--coverage`, estimates coverage for each `OBSERVED` signal
-//! (or the `--observed` overrides) and lists uncovered states:
+//! (or the `--observed` overrides) and lists uncovered states. When
+//! coverage runs, the `[PASS]`/`[FAIL]` verdicts are the coverage
+//! shards' (each shard verifies the suite once, on its cone-reduced
+//! deck), and the front end checks only the failing specs, to print
+//! their counterexamples; without coverage, or when the coverage run
+//! fails, the front end verifies every spec itself, so a broken deck
+//! fails the same way with or without `--coverage`:
 //!
 //! - `--traces N` prints shortest input sequences to up to `N` uncovered
 //!   states per signal;
@@ -92,7 +98,7 @@ use covest_bdd::{BddManager, ReorderConfig, ReorderMode};
 use covest_core::{json_string, CoverageEstimator, CoverageTable, ReportRow};
 use covest_mc::{ModelChecker, Verdict};
 use covest_par::{run_batch, run_batch_with_trace, BatchReport, DeckJob, ParConfig, ShardProfile};
-use covest_smv::{ImageConfig, ImageMethod, SimplifyConfig};
+use covest_smv::{CompiledModel, ImageConfig, ImageMethod, SimplifyConfig};
 use covest_telemetry::chrome::{TraceFormat, TraceSink, TraceWriter};
 use covest_telemetry::{
     self as telemetry, memory, progress, Counters, SpanRecord, Telemetry, WallClock, TIMINGS_MARKER,
@@ -721,6 +727,23 @@ fn emit_observability(engine: &EngineArgs, out: &StatsOutput) {
     }
 }
 
+/// The front-end model checker: the deck's fairness constraints and,
+/// with simplification on, the reachable states as the care boundary of
+/// the verification fixpoints.
+fn front_checker(
+    model: &CompiledModel,
+    simplify: SimplifyConfig,
+) -> Result<ModelChecker<'_>, Box<dyn std::error::Error>> {
+    let mut mc = ModelChecker::new(&model.fsm);
+    for fair in &model.fairness {
+        mc.add_fairness(fair)?;
+    }
+    if simplify != SimplifyConfig::Off {
+        mc.set_care(model.fsm.install_reachable_care());
+    }
+    Ok(mc)
+}
+
 fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     let src = std::fs::read_to_string(&args.model_path)?;
     // The recorder goes in before compile so the span log covers the
@@ -790,21 +813,49 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         eprintln!("warning: --json has no effect without --coverage");
     }
 
-    // Verification.
+    // Coverage runs before verification when it runs at all: the deck is
+    // planned into cone-disjoint shards and run on the worker pool at
+    // every `--jobs` value — each shard compiles one private manager and
+    // verifies the suite once, and idle workers steal whole shards.
+    let has_signals = !(args.observed.is_empty() && model.observed.is_empty());
+    let pool = (args.coverage && has_signals).then(|| {
+        let jobs = vec![DeckJob {
+            name: args.model_path.clone(),
+            source: src.clone(),
+            observed: args.observed.clone(),
+        }];
+        let config = par_config(&args.engine);
+        match trace_writer.as_mut() {
+            Some(writer) => run_batch_with_trace(&jobs, &config, writer),
+            None => run_batch(&jobs, &config),
+        }
+    });
+
+    // Verification. With a coverage report the verdicts are the shards';
+    // the front end checks only the failing specs, for their
+    // counterexamples. Otherwise — no coverage, or a pool error — the
+    // front end verifies every spec itself, so a broken deck fails with
+    // the same output either way, before the pool's error is reported.
+    let shard_verdicts = match &pool {
+        Some(Ok(report)) => Some(&report.decks[0].verdicts),
+        _ => None,
+    };
+    let mut mc = match shard_verdicts {
+        Some(_) => None,
+        None => Some(front_checker(&model, args.engine.simplify)?),
+    };
     let mut all_passed = true;
-    let mut mc = ModelChecker::new(&model.fsm);
-    for fair in &model.fairness {
-        mc.add_fairness(fair)?;
-    }
-    // With simplification on, pay for reachability up front: the
-    // reachable set becomes the care boundary for the verification
-    // fixpoints (and the estimator recomputes/reinstalls it per run).
-    if args.engine.simplify != SimplifyConfig::Off {
-        let reach = model.fsm.install_reachable_care();
-        mc.set_care(reach);
-    }
-    for spec in &model.specs {
-        let verdict = mc.check(&spec.clone().into())?;
+    for (i, spec) in model.specs.iter().enumerate() {
+        let verdict = match shard_verdicts {
+            Some(verdicts) if verdicts[i].holds => Verdict::Holds,
+            _ => {
+                if mc.is_none() {
+                    mc = Some(front_checker(&model, args.engine.simplify)?);
+                }
+                let mc = mc.as_mut().expect("front-end checker built");
+                mc.check(&spec.clone().into())?
+            }
+        };
         let mark = if verdict.holds() { "PASS" } else { "FAIL" };
         println!("[{mark}] SPEC {spec}");
         if let Verdict::Fails {
@@ -816,45 +867,33 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         }
         all_passed &= verdict.holds();
     }
+    let pool_report = pool.transpose()?;
 
-    // Coverage: planned into cone-disjoint shards and run on the worker
-    // pool at every `--jobs` value — each shard compiles one private
-    // manager, and idle workers steal whole shards. Traces to uncovered
-    // states replay on this manager.
+    // Coverage report. Traces to uncovered states replay on this manager.
     let mut table_out: Option<CoverageTable> = None;
-    let mut pool_report: Option<BatchReport> = None;
     if args.coverage {
-        if args.observed.is_empty() && model.observed.is_empty() {
-            eprintln!("warning: no OBSERVED signals; use --observed");
-        } else {
-            let estimator = CoverageEstimator::new(&model.fsm);
-            let graph = DepGraph::new(&module);
-            let jobs = vec![DeckJob {
-                name: args.model_path.clone(),
-                source: src.clone(),
-                observed: args.observed.clone(),
-            }];
-            let config = par_config(&args.engine);
-            let report = match trace_writer.as_mut() {
-                Some(writer) => run_batch_with_trace(&jobs, &config, writer)?,
-                None => run_batch(&jobs, &config)?,
-            };
-            for outcome in report.outcomes() {
-                print_signal_block(&outcome.row);
-                if outcome.row.percent < 100.0 && args.traces > 0 {
-                    // The worker exported its uncovered set name-keyed
-                    // over the signal's cone; import it here and replay
-                    // traces over the same cone universe.
-                    let uncovered = bdd.import_bdd(&outcome.uncovered)?;
-                    let cone = task_cone(&module, &graph, &outcome.row.signal)?;
-                    let universe = estimator.universe(Some(&cone_bit_names(&module, &cone)));
-                    for trace in estimator.traces_to_states_over(&uncovered, &universe, args.traces)
-                    {
-                        println!("trace to uncovered state:\n{trace}");
+        match &pool_report {
+            Some(report) => {
+                let estimator = CoverageEstimator::new(&model.fsm);
+                let graph = DepGraph::new(&module);
+                for outcome in report.outcomes() {
+                    print_signal_block(&outcome.row);
+                    if outcome.row.percent < 100.0 && args.traces > 0 {
+                        // The worker exported its uncovered set name-keyed
+                        // over the signal's cone; import it here and replay
+                        // traces over the same cone universe.
+                        let uncovered = bdd.import_bdd(&outcome.uncovered)?;
+                        let cone = task_cone(&module, &graph, &outcome.row.signal)?;
+                        let universe = estimator.universe(Some(&cone_bit_names(&module, &cone)));
+                        for trace in
+                            estimator.traces_to_states_over(&uncovered, &universe, args.traces)
+                        {
+                            println!("trace to uncovered state:\n{trace}");
+                        }
                     }
                 }
             }
-            pool_report = Some(report);
+            None => eprintln!("warning: no OBSERVED signals; use --observed"),
         }
         let table = pool_report
             .as_ref()

@@ -277,6 +277,147 @@ fn unknown_observed_signal_fails_the_same_everywhere() {
     assert_eq!(run(&["--stats"]), one, "--stats");
 }
 
+/// Broken decks fail under `check --coverage` exactly as they always
+/// have: same stdout, stderr and exit code, at one and four jobs. When
+/// the coverage pool fails, the front end verifies the suite itself
+/// before the pool's error is reported, so an undefined SPEC atom is
+/// or fairness constraint is named by the front-end checker (not as a
+/// per-signal analysis error), and a bad `--observed` signal still
+/// follows the `[PASS]` lines.
+#[test]
+fn broken_decks_fail_the_same_under_coverage() {
+    let dir = std::env::temp_dir();
+    let write_deck = |name: &str, specs: &str| -> String {
+        let path = dir.join(name);
+        let deck = format!(
+            "MODULE main\nVAR a : boolean;\n    b : boolean;\nASSIGN\n  \
+             init(a) := FALSE;\n  next(a) := !a;\n  init(b) := FALSE;\n  \
+             next(b) := a;\nSPEC AG (a -> AX b);\n{specs}\nOBSERVED b;\n"
+        );
+        std::fs::write(&path, deck).expect("write deck");
+        path.to_str().expect("utf-8 path").to_owned()
+    };
+    let undefined = write_deck("covest-broken-undefined-atom.smv", "SPEC AG (zz -> AX b);");
+    let non_actl = write_deck("covest-broken-non-actl.smv", "SPEC EG b;");
+    let bad_fairness = dir.join("covest-broken-fairness.smv");
+    std::fs::write(
+        &bad_fairness,
+        "MODULE main\nVAR a : boolean;\nASSIGN\n  init(a) := FALSE;\n  next(a) := !a;\n\
+         FAIRNESS zz;\nOBSERVED a;\n",
+    )
+    .expect("write deck");
+    let bad_fairness = bad_fairness.to_str().expect("utf-8 path").to_owned();
+    let parse_error = repo_root().join("models/lint_fixtures/parse_error.smv");
+    let parse_error = parse_error.to_str().expect("utf-8 path").to_owned();
+    let counter = repo_root().join("models/counter.smv");
+    let counter = counter.to_str().expect("utf-8 path").to_owned();
+    let counter_passes: String = (0..5)
+        .map(|k| {
+            format!(
+                "[PASS] SPEC AG ((((!(stall) & !(reset)) & count = {k}) & count < 5) \
+                 -> AX count = {})\n",
+                k + 1
+            )
+        })
+        .collect();
+    // (argv after `check`, stdout, stderr), all exiting 1.
+    let cases: Vec<(Vec<&str>, String, String)> = vec![
+        (
+            vec![&undefined, "--coverage"],
+            format!(
+                "model `{undefined}`: 2 state bits, 2 properties, 0 fairness constraints, \
+                 image method `part` (1 clusters), simplify `restrict`\n\
+                 reorder (sift): 13 -> 11 live nodes (20 swaps)\n\
+                 [PASS] SPEC AG (a -> AX b)\n"
+            ),
+            "error: unknown signal `zz`\n".to_owned(),
+        ),
+        (
+            vec![&bad_fairness, "--coverage"],
+            format!(
+                "model `{bad_fairness}`: 1 state bits, 0 properties, 1 fairness constraints, \
+                 image method `part` (1 clusters), simplify `restrict`\n\
+                 reorder (sift): 5 -> 5 live nodes (0 swaps)\n"
+            ),
+            "error: unknown signal `zz`\n".to_owned(),
+        ),
+        (
+            vec![&non_actl, "--coverage"],
+            String::new(),
+            "error: model error: SPEC `EG b`: formula outside the acceptable ACTL subset: \
+             E... (existential path quantifiers are not universal (ACTL) formulas)\n"
+                .to_owned(),
+        ),
+        (
+            vec![&parse_error, "--coverage"],
+            String::new(),
+            "error: model error at 5:1: expected `;`\n".to_owned(),
+        ),
+        (
+            vec![&counter, "--coverage", "--observed", "nope"],
+            format!(
+                "model `{counter}`: 5 state bits, 5 properties, 0 fairness constraints, \
+                 image method `part` (1 clusters), simplify `restrict`\n\
+                 reorder (sift): 75 -> 52 live nodes (132 swaps)\n{counter_passes}"
+            ),
+            format!(
+                "error: planning `{counter}`: model error: OBSERVED signal `nope` is not defined\n"
+            ),
+        ),
+    ];
+    for (argv, stdout, stderr) in &cases {
+        for jobs in ["1", "4"] {
+            let out = covest()
+                .arg("check")
+                .args(argv)
+                .args(["--jobs", jobs])
+                .output()
+                .expect("runs");
+            let context = format!("check {argv:?} --jobs {jobs}");
+            assert_eq!(out.status.code(), Some(1), "{context}");
+            assert_eq!(String::from_utf8_lossy(&out.stdout), *stdout, "{context}");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), *stderr, "{context}");
+        }
+    }
+    for path in [undefined, bad_fairness, non_actl] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// With `--coverage` the verdicts come from the coverage shards and the
+/// front end checks only failing specs, for their counterexamples; the
+/// verification lines (counterexamples included) must be exactly what
+/// plain `check` prints, on every bundled deck and engine mode.
+#[test]
+fn coverage_keeps_the_verification_lines_of_plain_check() {
+    for deck in [
+        "models/counter.smv",
+        "models/pipeline.smv",
+        "models/priority_buffer.smv",
+        "models/priority_buffer_buggy.smv",
+    ] {
+        for extra in [
+            &[][..],
+            &["--simplify", "off"],
+            &["--reorder", "auto", "--image", "mono"],
+        ] {
+            let plain = check_stdout(deck, extra);
+            let mut argv = vec!["--coverage"];
+            argv.extend_from_slice(extra);
+            let coverage = check_stdout(deck, &argv);
+            assert!(
+                coverage.starts_with(&plain),
+                "{deck} {extra:?}: verification lines differ:\n{plain}\n---\n{coverage}"
+            );
+        }
+    }
+    let buggy = check_stdout("models/priority_buffer_buggy.smv", &["--coverage"]);
+    assert!(
+        buggy.contains("[FAIL]") && buggy.contains("step 0: "),
+        "{buggy}"
+    );
+}
+
 /// `--coi off` is honored at `--jobs 1`: the full-deck shard builds
 /// larger BDDs than the pruned cone deck on the priority buffer, while
 /// every other column stays the same.
@@ -408,6 +549,49 @@ fn batch_is_byte_identical_across_job_counts() {
     for p in [joblist, json1, json4] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+/// The observer effect for `batch`: `--stats`, `--trace FILE` and
+/// `--progress` must not change its stdout, at `--jobs 1` or `--jobs 4`.
+/// Compared: stdout without the `--stats` summary, the `wrote PATH`
+/// lines and trailing blank lines.
+#[test]
+fn observability_flags_do_not_change_batch_output() {
+    let joblist = write_joblist("covest-batch-observer.txt");
+    let stable = |stdout: &[u8]| -> String {
+        String::from_utf8_lossy(stdout)
+            .lines()
+            .take_while(|l| *l != "stats:")
+            .filter(|l| !l.starts_with("wrote "))
+            .collect::<Vec<_>>()
+            .join("\n")
+            .trim_end()
+            .to_owned()
+    };
+    let run = |argv: &[&str]| -> String {
+        let out = covest()
+            .arg("batch")
+            .arg(&joblist)
+            .args(argv)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "batch {argv:?} fails");
+        stable(&out.stdout)
+    };
+    let plain = run(&[]);
+    assert!(plain.contains("batch: 4 decks"), "{plain}");
+    for jobs in ["1", "4"] {
+        let trace = std::env::temp_dir().join(format!("covest-batch-observer-{jobs}.jsonl"));
+        let trace_arg = trace.to_str().unwrap().to_owned();
+        let variants: [&[&str]; 4] = [&[], &["--stats"], &["--trace", &trace_arg], &["--progress"]];
+        for extra in variants {
+            let mut argv = vec!["--jobs", jobs];
+            argv.extend_from_slice(extra);
+            assert_eq!(plain, run(&argv), "batch {argv:?} changed the output");
+        }
+        let _ = std::fs::remove_file(&trace);
+    }
+    let _ = std::fs::remove_file(joblist);
 }
 
 #[test]

@@ -26,10 +26,15 @@ use covest_mc::ModelChecker;
 use crate::error::CoverageError;
 
 /// The covered-set computation engine for one machine and one observed
-/// signal.
+/// signal at a time.
 ///
 /// Wraps a [`ModelChecker`] whose memoized satisfaction sets are shared
 /// between verification and coverage estimation, as the paper suggests.
+/// None of those sets depends on the observed signal (only
+/// [`CoveredSets::depend`] does), so the estimator's
+/// [`crate::AnalysisContext`] keeps one engine per machine and re-targets
+/// it at each observed signal: a shard's signals share one verification
+/// and one set of fixpoints.
 /// All held state sets are owned [`Func`] handles, so the engine stays
 /// valid across garbage collection and automatic reordering.
 #[derive(Debug)]
@@ -69,13 +74,32 @@ impl<'m> CoveredSets<'m> {
         mc: ModelChecker<'m>,
         observed: impl Into<String>,
     ) -> Result<Self, CoverageError> {
-        let observed = observed.into();
-        let flip_variants = flip_variants_of(mc.fsm(), &observed)?;
-        Ok(CoveredSets {
+        let mut cs = Self::unobserved(mc);
+        cs.observe(&observed.into())?;
+        Ok(cs)
+    }
+
+    /// An engine over `mc` with no observed signal yet: `depend` is empty
+    /// until `observe` names one.
+    pub(crate) fn unobserved(mc: ModelChecker<'m>) -> Self {
+        CoveredSets {
             mc,
-            observed,
-            flip_variants,
-        })
+            observed: String::new(),
+            flip_variants: Vec::new(),
+        }
+    }
+
+    /// Re-targets the engine at another observed signal, keeping the
+    /// checker with its fairness constraints, care set and memoized
+    /// satisfaction sets. On error the engine is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CoveredSets::new`].
+    pub(crate) fn observe(&mut self, observed: &str) -> Result<(), CoverageError> {
+        self.flip_variants = flip_variants_of(self.mc.fsm(), observed)?;
+        self.observed = observed.to_owned();
+        Ok(())
     }
 
     /// The observed signal's name.

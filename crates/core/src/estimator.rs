@@ -122,6 +122,28 @@ pub struct CoverageOptions {
     pub cone: Option<Vec<String>>,
 }
 
+/// The signal-independent state of the analyses on one machine, built
+/// by [`CoverageEstimator::prepare`] and passed to every
+/// [`CoverageEstimator::analyze_prepared`] call: the reachable set, one
+/// covered-set engine over one model checker (fairness and care
+/// installed, satisfaction sets and fair states memoized across
+/// signals), and the verified suite's verdicts and vacuity flags.
+#[derive(Debug)]
+pub struct AnalysisContext<'m> {
+    reach: Func,
+    engine: CoveredSets<'m>,
+    suite: Option<SuiteResults>,
+}
+
+/// A verified suite: per-property verdicts, plus the vacuity flags once
+/// a coverage phase has computed them.
+#[derive(Debug)]
+struct SuiteResults {
+    properties: Vec<Formula>,
+    holds: Vec<bool>,
+    vacuous: Option<Vec<bool>>,
+}
+
 /// The coverage estimator for one machine.
 ///
 /// # Examples
@@ -161,7 +183,10 @@ impl<'m> CoverageEstimator<'m> {
         CoverageEstimator { fsm }
     }
 
-    /// Runs the full analysis for `observed` over a property suite.
+    /// Runs the full analysis for `observed` over a property suite:
+    /// [`CoverageEstimator::prepare`] followed by
+    /// [`CoverageEstimator::analyze_prepared`] on the fresh context, so
+    /// every call verifies the suite itself.
     ///
     /// Every reachability and CTL fixpoint underneath runs on the
     /// machine's image engine, so the default partitioned method (and
@@ -186,69 +211,100 @@ impl<'m> CoverageEstimator<'m> {
         properties: &[Formula],
         options: &CoverageOptions,
     ) -> Result<CoverageAnalysis, CoverageError> {
-        let reach = self.prepare();
-        self.analyze_prepared(&reach, observed, properties, options)
+        let mut ctx = self.prepare(options)?;
+        self.analyze_prepared(&mut ctx, observed, properties, options)
     }
 
-    /// The machine-wide (signal-independent) prefix of an analysis:
-    /// computes the reachable states and installs them as the care set.
+    /// The machine-wide (signal-independent) part of an analysis, done
+    /// once for all the signals analyzed on this machine. It computes the
+    /// reachable states and installs them as the care set, then builds
+    /// the one model checker every signal shares, with `options.fairness`
+    /// and the care set installed.
+    ///
     /// Reachability comes first: the reachable set is both the
     /// coverage-space denominator and the don't-care boundary. Per the
     /// configured [`covest_fsm::SimplifyConfig`] it is installed as the
     /// image engine's care set (transition clusters simplified, forward
-    /// schedules re-derived) and as the checker's
-    /// iterate-simplification boundary, so verification and coverage
-    /// both fixpoint over don't-care-simplified BDDs.
+    /// schedules re-derived) and as the checker's iterate-simplification
+    /// boundary, so verification and coverage both fixpoint over
+    /// don't-care-simplified BDDs.
     ///
-    /// Idempotent (the fixpoint is cached on the machine, the install
-    /// compares care handles), so callers that analyze several signals
-    /// on one machine — the sharded worker pool — pay for it once and
-    /// pass the returned set to each
-    /// [`CoverageEstimator::analyze_prepared`] call.
-    pub fn prepare(&self) -> Func {
-        self.fsm.install_reachable_care()
+    /// The returned context also keeps the suite's verdicts and vacuity
+    /// flags once the first [`CoverageEstimator::analyze_prepared`] call
+    /// has computed them. Neither depends on the observed signal.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoverageError::Lower`] if a fairness constraint mentions
+    /// an unknown signal.
+    pub fn prepare(&self, options: &CoverageOptions) -> Result<AnalysisContext<'m>, CoverageError> {
+        let reach = self.fsm.install_reachable_care();
+        let mut mc = ModelChecker::new(self.fsm);
+        for fair in &options.fairness {
+            mc.add_fairness(fair)?;
+        }
+        mc.set_care(reach.clone());
+        Ok(AnalysisContext {
+            reach,
+            engine: CoveredSets::unobserved(mc),
+            suite: None,
+        })
     }
 
-    /// Runs one signal's analysis on an already-prepared machine:
-    /// `reach` must be the set returned by
-    /// [`CoverageEstimator::prepare`] on this machine (with the care
-    /// set it installed still in place). Everything after this point is
-    /// per-signal; [`CoverageEstimator::analyze`] is exactly `prepare`
-    /// followed by this.
+    /// Runs one signal's analysis on a context from
+    /// [`CoverageEstimator::prepare`] on this machine. Only the
+    /// signal-dependent part runs per call: `depend` and the covered-set
+    /// union. The first call verifies `properties` and the coverage
+    /// phase computes their vacuity flags; both are kept in `ctx`, and
+    /// later calls with the same suite reuse them. So the first signal's
+    /// row carries the verification time, and the others report a
+    /// verification time near zero. `options.fairness` is read by
+    /// `prepare` only.
     ///
     /// # Errors
     ///
     /// See [`CoverageEstimator::analyze`].
     pub fn analyze_prepared(
         &self,
-        reach: &Func,
+        ctx: &mut AnalysisContext<'m>,
         observed: &str,
         properties: &[Formula],
         options: &CoverageOptions,
     ) -> Result<CoverageAnalysis, CoverageError> {
         let _span = telemetry::span(format!("signal:{observed}"));
         let mgr = self.fsm.manager().clone();
-        let reach = reach.clone();
-        let mut mc = ModelChecker::new(self.fsm);
-        for fair in &options.fairness {
-            mc.add_fairness(fair)?;
-        }
-        mc.set_care(reach.clone());
-        let mut cs = CoveredSets::with_checker(mc, observed)?;
+        let reach = ctx.reach.clone();
+        let cs = &mut ctx.engine;
+        cs.observe(observed)?;
 
-        // Phase 1: verification.
+        // Phase 1: verification, once per context and suite.
         let t0 = Stopwatch::start();
-        let verify_span = telemetry::span("verify");
-        let mut verdicts = Vec::with_capacity(properties.len());
-        for p in properties {
-            let holds = cs.verify(p)?;
-            if options.strict && !holds {
-                return Err(CoverageError::PropertyFails(p.to_string()));
+        let suite = match &mut ctx.suite {
+            Some(suite) if suite.properties == properties => suite,
+            slot => {
+                let verify_span = telemetry::span("verify");
+                let mut holds = Vec::with_capacity(properties.len());
+                for p in properties {
+                    let h = cs.verify(p)?;
+                    if options.strict && !h {
+                        return Err(CoverageError::PropertyFails(p.to_string()));
+                    }
+                    holds.push(h);
+                }
+                telemetry::span_field("properties", properties.len() as u64);
+                drop(verify_span);
+                slot.insert(SuiteResults {
+                    properties: properties.to_vec(),
+                    holds,
+                    vacuous: None,
+                })
             }
-            verdicts.push(holds);
+        };
+        if options.strict {
+            if let Some(i) = suite.holds.iter().position(|&h| !h) {
+                return Err(CoverageError::PropertyFails(properties[i].to_string()));
+            }
         }
-        telemetry::span_field("properties", properties.len() as u64);
-        drop(verify_span);
         let verify_time = t0.elapsed();
         let verify_nodes = mgr.table_size();
 
@@ -263,13 +319,16 @@ impl<'m> CoverageEstimator<'m> {
         let coverage_span = telemetry::span("coverage");
         let mut property_results = Vec::with_capacity(properties.len());
         let mut covered = mgr.constant(false);
-        for (p, &holds) in properties.iter().zip(&verdicts) {
+        for (i, (p, &holds)) in properties.iter().zip(&suite.holds).enumerate() {
             let c = if holds {
                 cs.covered_from_init(p)?
             } else {
                 mgr.constant(false)
             };
-            let vacuous = holds && cs.vacuous(p)?;
+            let vacuous = match &suite.vacuous {
+                Some(flags) => flags[i],
+                None => holds && cs.vacuous(p)?,
+            };
             covered = covered.or(&c);
             property_results.push(PropertyResult {
                 formula: p.clone(),
@@ -278,6 +337,7 @@ impl<'m> CoverageEstimator<'m> {
                 covered: c,
             });
         }
+        suite.vacuous = Some(property_results.iter().map(|r| r.vacuous).collect());
 
         let fair = cs.checker_mut().fair_states();
         let mut space = reach.and(&fair);
@@ -373,7 +433,9 @@ impl<'m> CoverageEstimator<'m> {
     }
 
     /// Analyzes several observed signals over their own property suites
-    /// and returns the per-signal analyses in input order.
+    /// and returns the per-signal analyses in input order. The signals
+    /// share one [`AnalysisContext`], so consecutive signals with the same
+    /// suite verify it once.
     ///
     /// Completed analyses survive the later calls' automatic-reorder
     /// collection points by ownership alone — the old protect/unprotect
@@ -387,9 +449,10 @@ impl<'m> CoverageEstimator<'m> {
         suites: &[(&str, Vec<Formula>)],
         options: &CoverageOptions,
     ) -> Result<Vec<CoverageAnalysis>, CoverageError> {
+        let mut ctx = self.prepare(options)?;
         let mut analyses = Vec::with_capacity(suites.len());
         for (sig, props) in suites {
-            analyses.push(self.analyze(sig, props, options)?);
+            analyses.push(self.analyze_prepared(&mut ctx, sig, props, options)?);
         }
         Ok(analyses)
     }
@@ -642,6 +705,58 @@ mod tests {
             .expect("analyzes");
         assert!(!analysis.all_hold());
         assert_eq!(analysis.covered_count, 0.0);
+    }
+
+    /// One context serves several signals and suites: every analysis
+    /// equals the one a fresh context gives, a changed suite is verified
+    /// anew, and strict mode still rejects a cached failing verdict.
+    #[test]
+    fn shared_context_matches_fresh_analyses() {
+        let mgr = BddManager::new();
+        let (_, fsm) = figure2(&mgr);
+        let est = CoverageEstimator::new(&fsm);
+        let opts = CoverageOptions::default();
+        let suite_a = vec![
+            f("A[p1 U q]"),
+            f("AG (q -> AX q)"),
+            f("AG ((q & p1) -> AX q)"),
+            f("AG q"),
+        ];
+        let suite_b = vec![f("AG (p1 -> !q)")];
+        let mut ctx = est.prepare(&opts).expect("prepares");
+        let mut check = |sig: &str, suite: &[Formula]| {
+            let shared = est
+                .analyze_prepared(&mut ctx, sig, suite, &opts)
+                .expect("analyzes");
+            let fresh = est.analyze(sig, suite, &opts).expect("analyzes");
+            assert_eq!(shared.covered, fresh.covered, "{sig}");
+            assert_eq!(shared.space, fresh.space, "{sig}");
+            let flags = |a: &CoverageAnalysis| -> Vec<(bool, bool)> {
+                a.properties.iter().map(|p| (p.holds, p.vacuous)).collect()
+            };
+            assert_eq!(flags(&shared), flags(&fresh), "{sig}");
+        };
+        check("q", &suite_a);
+        check("p1", &suite_a);
+        check("q", &suite_b);
+        check("p1", &suite_a);
+        let vacuous: Vec<bool> = est
+            .analyze_prepared(&mut ctx, "q", &suite_a, &opts)
+            .expect("analyzes")
+            .properties
+            .iter()
+            .map(|p| p.vacuous)
+            .collect();
+        assert_eq!(vacuous, [false, false, true, false]);
+        // The context now holds suite A's verdicts, `AG q` failing.
+        let strict = CoverageOptions {
+            strict: true,
+            ..Default::default()
+        };
+        let err = est
+            .analyze_prepared(&mut ctx, "q", &suite_a, &strict)
+            .unwrap_err();
+        assert_eq!(err, CoverageError::PropertyFails("AG q".to_owned()));
     }
 
     #[test]

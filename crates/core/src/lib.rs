@@ -57,6 +57,8 @@ mod report;
 
 pub use covered::CoveredSets;
 pub use error::CoverageError;
-pub use estimator::{CoverageAnalysis, CoverageEstimator, CoverageOptions, PropertyResult};
+pub use estimator::{
+    AnalysisContext, CoverageAnalysis, CoverageEstimator, CoverageOptions, PropertyResult,
+};
 pub use reference::{reference_covered_set, ReferenceMode, DEFAULT_STATE_LIMIT};
 pub use report::{json_string, CoverageTable, PropertyVerdict, ReportRow};

@@ -18,7 +18,21 @@ use crate::fsm::SymbolicFsm;
 impl SymbolicFsm {
     /// All states reachable from `from` in any number of steps, including
     /// `from` itself (the paper's `reachable(S0)`).
+    ///
+    /// Starting from the initial states this is [`SymbolicFsm::reachable`],
+    /// and it returns that cached set instead of running a fresh BFS: the
+    /// covered-set recursion asks for `reachable(S_I)` once per top-level
+    /// `AG` of every property and every observed signal. Any other start
+    /// set runs its own BFS.
     pub fn reachable_from(&self, from: &Func) -> Func {
+        if from == &self.init {
+            return self.reachable();
+        }
+        self.bfs(from)
+    }
+
+    /// The forward fixpoint behind [`SymbolicFsm::reachable_from`].
+    fn bfs(&self, from: &Func) -> Func {
         let _span = telemetry::span("reachability");
         let simplify = self.image_config().simplify;
         let mut reached = from.clone();
@@ -71,12 +85,13 @@ impl SymbolicFsm {
     /// engine's lifecycle — rebuilding via
     /// [`crate::SymbolicFsm::set_image_config`] or
     /// [`crate::SymbolicFsm::constrain`] drops it), so the per-signal
-    /// analyses of a multi-signal run pay for the BFS once.
+    /// analyses of a multi-signal run pay for the BFS once, and so does
+    /// every [`SymbolicFsm::reachable_from`] call on the initial states.
     pub fn reachable(&self) -> Func {
         if let Some(r) = self.engine.cached_reach() {
             return r;
         }
-        let r = self.reachable_from(&self.init);
+        let r = self.bfs(&self.init);
         self.engine.cache_reach(r.clone());
         r
     }
@@ -84,7 +99,8 @@ impl SymbolicFsm {
     /// Installs an externally computed reachable-states set into the
     /// engine's reachability cache, so [`SymbolicFsm::reachable`] (and
     /// everything above it — care installation, the coverage-space
-    /// denominator) returns it without re-running the BFS.
+    /// denominator, and [`SymbolicFsm::reachable_from`] on the initial
+    /// states) returns it without re-running the BFS.
     ///
     /// This is the worker-side half of the parallel coverage engine's
     /// handoff: the planner computes reachability once per deck, exports
@@ -210,6 +226,46 @@ mod tests {
         let s4 = fsm.state_cube(&[("c2", true)]);
         let r = fsm.reachable_from(&s4);
         assert_eq!(r.sat_count_over(&fsm.current_vars()), 6.0);
+    }
+
+    /// Runs `f` under a fresh recorder; returns its result and the
+    /// number of BFS steps it recorded.
+    fn with_bfs_steps<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        telemetry::install(telemetry::Telemetry::new());
+        let out = f();
+        let (_, counters) = telemetry::uninstall().expect("installed").into_parts();
+        (out, counters.get("bfs_steps"))
+    }
+
+    #[test]
+    fn reachable_from_init_reuses_the_cached_set() {
+        let mgr = BddManager::new();
+        let fsm = mod6_counter(&mgr);
+        let (reach, steps) = with_bfs_steps(|| fsm.reachable());
+        assert!(steps > 0);
+        let (again, steps) = with_bfs_steps(|| fsm.reachable_from(fsm.init()));
+        assert_eq!(steps, 0, "reachable(init) must come from the cache");
+        assert_eq!(again, reach);
+        // Any other start set still runs its own BFS.
+        let s4 = fsm.state_cube(&[("c2", true)]);
+        let (_, steps) = with_bfs_steps(|| fsm.reachable_from(&s4));
+        assert!(steps > 0);
+    }
+
+    #[test]
+    fn reachable_from_init_reuses_a_seeded_set() {
+        let mgr = BddManager::new();
+        let fsm = mod6_counter(&mgr);
+        // The rings' union is the reachable set, computed without
+        // touching the engine cache.
+        let reach = fsm
+            .onion_rings(fsm.init())
+            .iter()
+            .fold(mgr.constant(false), |acc, ring| acc.or(ring));
+        fsm.seed_reachable(reach.clone());
+        let (got, steps) = with_bfs_steps(|| fsm.reachable_from(fsm.init()));
+        assert_eq!(steps, 0, "a seeded set must be reused");
+        assert_eq!(got, reach);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   per-signal tasks and cone-disjoint **shards**. Planning is purely
 //!   static (parse, dependency graph, cones of influence — no BDDs):
 //!   signals whose cones overlap are grouped into one shard, which
-//!   compiles one union-cone machine and runs one reachability fixpoint
-//!   for all of them, instead of every signal paying its own compile.
+//!   compiles one union-cone machine, runs one reachability fixpoint and
+//!   verifies the suite once for all of them, instead of every signal
+//!   paying its own compile and verification.
 //! - **The worker pool** ([`WorkPlan::run`]) — `jobs` OS threads, one
 //!   deque each. Shards are dealt round-robin largest-first (by their
 //!   static cone weights); an idle worker **steals whole shards** —

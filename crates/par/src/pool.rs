@@ -115,8 +115,8 @@ pub struct ShardProfile {
     /// (zero for verification-only shards, which handle care inside
     /// `solve`).
     pub reach: Duration,
-    /// Time in the analyses proper (verification + coverage per member
-    /// signal, or verification only).
+    /// Time in the analyses proper (one verification of the suite, then
+    /// coverage per member signal; or verification only).
     pub solve: Duration,
     /// `true` if the shard was executed by a worker other than the one
     /// it was dealt to. Scheduling observability only.
@@ -166,9 +166,11 @@ pub struct DeckReport {
     pub name: String,
     /// Number of properties in the deck's suite.
     pub num_properties: usize,
-    /// Per-property verdicts (suite order). For coverage decks these are
-    /// taken from the first signal's analysis — every signal of a deck
-    /// verifies the same suite and necessarily reaches the same verdicts.
+    /// Per-property verdicts (suite order). For coverage decks these come
+    /// from the shard of the deck's first signal: each shard verifies the
+    /// suite once, shared by its member signals, and every shard of a
+    /// deck necessarily reaches the same verdicts. `covest check
+    /// --coverage` prints its `[PASS]`/`[FAIL]` lines from them.
     pub verdicts: Vec<PropertyVerdict>,
     /// Per-signal outcomes, in declaration order.
     pub signals: Vec<SignalOutcome>,

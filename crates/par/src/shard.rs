@@ -7,7 +7,8 @@
 //! fresh private [`covest_bdd::BddManager`]: compile the shard's module
 //! once (the union-cone reduction when [`crate::ParConfig::coi`] is on),
 //! run reachability once, then multiplex the shard's signals on that
-//! machine **in declaration order**. The shard's results are therefore a
+//! machine **in declaration order**, sharing one model checker: the
+//! suite is verified once, by the first signal. The shard's results are therefore a
 //! pure function of (deck source, config) — which worker runs it, and
 //! when, cannot reach a single report byte.
 //!
@@ -79,7 +80,7 @@ pub(crate) fn install_mem_sampler(bdd: &BddManager) {
 
 /// Executes one shard on a fresh private manager. Pure in (deck source,
 /// config): compile once, reach once, then the member signals in
-/// declaration order. `queue_wait`, `stolen` and `worker` are
+/// declaration order on one shared analysis context. `queue_wait`, `stolen` and `worker` are
 /// scheduling observability only and reach nothing but the (non-parity)
 /// profile. `clock` is the batch-shared timeline every profile span is
 /// stamped on.
@@ -182,18 +183,26 @@ fn run_shard_phases(
     }
     let compile = sw.elapsed();
 
-    // One reachability fixpoint for the whole shard: the estimator's
-    // machine-wide prefix (reach + care install) is signal-independent,
-    // so every member signal reuses it. Verification-only shards manage
-    // their care set inside the solve phase instead (it is conditional
-    // on the simplify mode there, as in `covest check`'s verification).
+    // One context for the whole shard: the estimator's signal-independent
+    // part (reach + care install, one model checker with the deck's
+    // fairness, and the suite's verdicts and vacuity flags once the first
+    // signal has computed them) is shared by every member signal. A
+    // fairness constraint that fails to lower fails the first coverage
+    // task, as a per-signal checker would. Verification-only shards
+    // manage their care set inside the solve phase instead (it is
+    // conditional on the simplify mode there, as in `covest check`'s
+    // verification).
     let estimator = CoverageEstimator::new(&model.fsm);
     let has_coverage = shard
         .tasks
         .iter()
         .any(|&ti| matches!(tasks[ti].kind, TaskKind::Coverage { .. }));
+    let base_options = CoverageOptions {
+        fairness: model.fairness.clone(),
+        ..Default::default()
+    };
     let sw = Stopwatch::start();
-    let reach = has_coverage.then(|| estimator.prepare());
+    let mut ctx = has_coverage.then(|| estimator.prepare(&base_options));
     let reach_time = sw.elapsed();
 
     let sw = Stopwatch::start();
@@ -201,18 +210,17 @@ fn run_shard_phases(
     for &ti in &shard.tasks {
         let outcome: Result<TaskPayload, String> = match &tasks[ti].kind {
             TaskKind::Coverage { signal, cone } => (|| {
+                let ctx = ctx
+                    .as_mut()
+                    .expect("coverage shard prepared")
+                    .as_mut()
+                    .map_err(|e| e.to_string())?;
                 let options = CoverageOptions {
-                    fairness: model.fairness.clone(),
                     cone: Some(cone.as_ref().clone()),
-                    ..Default::default()
+                    ..base_options.clone()
                 };
                 let analysis = estimator
-                    .analyze_prepared(
-                        reach.as_ref().expect("coverage shard prepared"),
-                        signal,
-                        &model.specs,
-                        &options,
-                    )
+                    .analyze_prepared(ctx, signal, &model.specs, &options)
                     .map_err(|e| e.to_string())?;
                 let universe = estimator.universe(options.cone.as_deref());
                 let sample = estimator.sample_states_over(

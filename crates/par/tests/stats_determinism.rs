@@ -351,3 +351,76 @@ fn queue_wait_never_exceeds_pool_wall_clock() {
         "per-shard queue wait ({queue_max:?}) exceeded pool wall-clock ({wall:?})"
     );
 }
+
+/// Runs one deck with profiling on and returns the profile of its only
+/// shard.
+fn single_shard_profile(name: &str, source: &str, observed: &[&str]) -> ShardProfile {
+    let job = DeckJob {
+        name: name.to_owned(),
+        source: source.to_owned(),
+        observed: observed.iter().map(|s| (*s).to_owned()).collect(),
+    };
+    let config = ParConfig {
+        profile: true,
+        ..Default::default()
+    };
+    let mut report = run_batch(&[job], &config).expect("deck analyzes");
+    let mut profiles = std::mem::take(&mut report.decks[0].profiles);
+    assert_eq!(profiles.len(), 1, "{name} {observed:?}: one shard expected");
+    let profile = profiles.pop().expect("one profile");
+    assert_eq!(profile.signals, observed, "{name}: shard members");
+    profile
+}
+
+/// A shard verifies its suite once, whatever the number of member
+/// signals: the checker (with its memoized satisfaction sets and fair
+/// states) is shared by every signal, so the EU/EG fixpoints run the
+/// same number of iterations for one member as for three. The pipeline
+/// deck's suite has `A[.. U ..]`, `AF` and a fairness constraint.
+#[test]
+fn shard_verification_is_not_repeated_per_signal() {
+    let deck = include_str!("../../../models/pipeline.smv");
+    let one = single_shard_profile("pipeline", deck, &["out"]);
+    let all = single_shard_profile("pipeline", deck, &["out", "d4", "d3"]);
+    assert!(one.counters.get("eu_iterations") > 0);
+    assert!(one.counters.get("eg_fair_iterations") > 0);
+    for counter in ["eu_iterations", "eg_iterations", "eg_fair_iterations"] {
+        assert_eq!(
+            one.counters.get(counter),
+            all.counters.get(counter),
+            "{counter}: verification repeated per signal"
+        );
+    }
+}
+
+/// On a deck whose properties are all top-level `AG`, the covered-set
+/// and vacuity recursions only ever ask for `reachable(S_I)`, which the
+/// machine has cached: the shard's `bfs_steps` are exactly those of its
+/// one reachability fixpoint.
+#[test]
+fn shard_runs_one_reachability_bfs() {
+    let deck = "MODULE main\n\
+        VAR a : boolean;\n    b : boolean;\n    c : boolean;\n\
+        IVAR x : boolean;\n\
+        ASSIGN\n  init(a) := FALSE;\n  next(a) := x;\n\
+        \x20 init(b) := FALSE;\n  next(b) := a;\n\
+        \x20 init(c) := FALSE;\n  next(c) := b;\n\
+        SPEC AG (a -> AX b);\n\
+        SPEC AG (b -> AX c);\n\
+        SPEC AG ((a & b) -> AX (b & c));\n";
+    let profile = single_shard_profile("shift", deck, &["b", "c"]);
+    let reach_spans: Vec<_> = profile
+        .spans
+        .iter()
+        .filter(|r| r.name == "reachability")
+        .collect();
+    assert_eq!(reach_spans.len(), 1, "one reachability fixpoint per shard");
+    let steps = reach_spans[0]
+        .fields
+        .iter()
+        .find(|(k, _)| k == "bfs_steps")
+        .map(|&(_, v)| v)
+        .expect("bfs_steps field");
+    assert!(steps > 1);
+    assert_eq!(profile.counters.get("bfs_steps"), steps);
+}
